@@ -21,10 +21,7 @@ from .errors import (
 )
 from .fracderiv import (
     FracOrder,
-    HistoryBuffer,
     amplitude,
-    binomial_coeff,
-    composite_expansion_k1,
     l1_frac_deriv,
     rl_window_deriv,
 )
@@ -66,12 +63,9 @@ __all__ = [
     "semigroup_residual",
     "small_s_bound",
     "FracOrder",
-    "HistoryBuffer",
     "amplitude",
     "l1_frac_deriv",
     "rl_window_deriv",
-    "composite_expansion_k1",
-    "binomial_coeff",
     "ControlProblem",
     "SolverConfig",
     "ValueField",

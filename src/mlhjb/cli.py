@@ -33,7 +33,7 @@ from .errors import (
     DomainError,
     StateEscapeError,
 )
-from .hjb import SolverConfig, evaluate_cost, lqr_oracle, solve_fractional
+from .hjb import Policy, SolverConfig, evaluate_cost, lqr_oracle, solve_fractional
 from .specfun import DiscountSpec, SeriesControl, kernel, ml_one, ml_two
 
 __all__ = ["main", "console_main", "build_parser"]
@@ -61,7 +61,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _add_shared(sp: argparse.ArgumentParser, lam_default: float = -0.5, tol_default=None) -> None:
+def _add_shared(sp: argparse.ArgumentParser, lam_default: float = -0.5) -> None:
     sp.add_argument("--alpha", type=float, default=1.0, help="kernel order in (0, 1] (default %(default)s)")
     sp.add_argument(
         "--lambda",
@@ -70,10 +70,8 @@ def _add_shared(sp: argparse.ArgumentParser, lam_default: float = -0.5, tol_defa
         default=lam_default,
         help="discount rate multiplier; negative values discount (default %(default)s)",
     )
-    sp.add_argument("--tol", type=float, default=tol_default, help="tolerance (command-specific meaning)")
     sp.add_argument("--out", default=None, help="output file (or directory for solve)")
     sp.add_argument("--config", default=None, help="key=value config file; flags take precedence")
-    sp.add_argument("--seed", type=int, default=0, help="seed reserved for randomized checks (commands here are deterministic)")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -88,6 +86,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     ml = sub.add_parser("ml", help="evaluate E_a(z) or E_{a,b}(z) to 12 digits")
     ml.add_argument("--z", type=float, required=False, default=None, help="argument z")
     ml.add_argument("--beta", type=float, default=None, help="second parameter; omit for the one-parameter function")
+    ml.add_argument("--tol", type=float, default=None, help="relative tolerance of the series (default: 12 digits)")
     _add_shared(ml)
     subs["ml"] = ml
 
@@ -106,7 +105,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         default="gauss_legendre",
         help="quadrature rule (default %(default)s)",
     )
-    _add_shared(verify, lam_default=-1.0, tol_default=1e-5)
+    verify.add_argument("--tol", type=float, default=1e-5, help="largest |residual| that exits 0 (default %(default)s)")
+    _add_shared(verify, lam_default=-1.0)
     subs["verify"] = verify
 
     solve = sub.add_parser("solve", help="solve a catalog problem; write value/policy/residual CSVs")
@@ -124,7 +124,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     cost.add_argument("--problem", choices=catalog.PROBLEM_NAMES, default="lq1d", help="catalog problem (default %(default)s)")
     cost.add_argument("--dt", type=float, default=None, help="time step (default per problem)")
     cost.add_argument("--horizon", type=float, default=None, help="horizon truncation T (default per problem)")
-    cost.add_argument("--nx", type=int, default=None, help="grid resolution used when replaying a policy file")
     cost.add_argument("--x0", type=_float_list, default=None, help="initial state (default per problem)")
     cost.add_argument("--policy", default=None, help="policy.csv file written by `solve` to replay")
     cost.add_argument(
@@ -289,7 +288,7 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _policy_file_law(path: str, dim_x: int):
+def _read_policy(path: str, dim_x: int) -> Policy:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -301,7 +300,6 @@ def _policy_file_law(path: str, dim_x: int):
     header = rows[0]
     if len(header) < dim_x + 2 or header[0] != "t":
         raise ConfigError(f"policy file {path!r} header {header!r} does not match (t, x..., u...)")
-    du = len(header) - 1 - dim_x
     try:
         data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
     except ValueError:
@@ -314,17 +312,15 @@ def _policy_file_law(path: str, dim_x: int):
     expected = int(np.prod(shape))
     if data.shape[0] != expected:
         raise ConfigError(f"policy file {path!r} does not cover a full (t, x) grid")
-    table = np.empty(shape + (du,))
     it = np.searchsorted(tvals, data[:, 0])
     node = tuple(np.searchsorted(axes[d], data[:, 1 + d]) for d in range(dim_x))
-    table[(it, *node)] = data[:, 1 + dim_x :]
-
-    def law(x: np.ndarray, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(tvals - t)))
-        idx = tuple(int(np.argmin(np.abs(axes[d] - x[d]))) for d in range(dim_x))
-        return table[(i, *idx)]
-
-    return law
+    # each node points at its own row; with the row count already equal to
+    # the node count, a node left unset means another one is listed twice
+    controls = np.full(expected, -1, dtype=np.intp)
+    controls[np.ravel_multi_index((it, *node), shape)] = np.arange(expected)
+    if np.any(controls < 0):
+        raise ConfigError(f"policy file {path!r} repeats a (t, x) node")
+    return Policy(controls=controls.reshape(shape), control_grid=data[:, 1 + dim_x :], times=tvals, axes=tuple(axes))
 
 
 def _cmd_cost(args) -> int:
@@ -333,14 +329,14 @@ def _cmd_cost(args) -> int:
     cfg = SolverConfig(
         dt=entry.dt if args.dt is None else args.dt,
         horizon=entry.horizon if args.horizon is None else args.horizon,
-        nx=entry.nx if args.nx is None else args.nx,
+        nx=entry.nx,
         window=entry.window,
     )
     x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
     if args.feedback not in ("zero", "lqr"):
         raise ConfigError(f"unknown feedback law {args.feedback!r}")
     if args.policy is not None:
-        law = _policy_file_law(args.policy, entry.problem.dim_x)
+        law = _read_policy(args.policy, entry.problem.dim_x)
     elif args.feedback == "lqr":
         if args.problem != "lq1d":
             raise ConfigError("--feedback lqr is defined only for the lq1d problem")

@@ -1,9 +1,10 @@
 """Fractional time-derivative machinery for the memory term of the solver.
 
 Provides the L1 finite-difference approximation of order-mu derivatives over
-a trailing window of uniformly spaced samples, the first-order composite
-expansion surrogate, the generalized binomial coefficient, and the amplitude
-A(a) = (1-a)^(a-1) / a^a that weights the nonlocal discount term.
+a trailing window of uniformly spaced samples, given as a (n, ...) array with
+the oldest sample first, its Riemann-Liouville variant with the window start
+as lower terminal, and the amplitude A(a) = (1-a)^(a-1) / a^a that weights
+the nonlocal discount term.
 """
 
 from __future__ import annotations
@@ -17,15 +18,10 @@ from .errors import DomainError, InsufficientHistoryError
 
 __all__ = [
     "FracOrder",
-    "HistoryBuffer",
     "amplitude",
     "l1_frac_deriv",
     "rl_window_deriv",
-    "composite_expansion_k1",
-    "binomial_coeff",
 ]
-
-_SPACING_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -38,53 +34,6 @@ class FracOrder:
         mu = self.mu
         if not (isinstance(mu, (int, float)) and math.isfinite(mu) and 0.0 <= mu < 1.0):
             raise DomainError(f"derivative order must lie in [0, 1), got {mu!r}")
-
-
-class HistoryBuffer:
-    """Trailing window of (time, value) samples on a uniform grid.
-
-    Values may be scalars or ndarrays of a fixed shape; pushing beyond
-    ``window`` drops the oldest sample.
-    """
-
-    def __init__(self, dt: float, window: int):
-        if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0):
-            raise DomainError(f"dt must be positive and finite, got {dt!r}")
-        if not (isinstance(window, int) and window >= 1):
-            raise DomainError(f"window must be a positive integer, got {window!r}")
-        self.dt = float(dt)
-        self.window = window
-        self._times: list[float] = []
-        self._values: list = []
-
-    def push(self, time: float, value) -> None:
-        time = float(time)
-        if self._times:
-            gap = time - self._times[-1]
-            if abs(gap - self.dt) > _SPACING_RTOL * self.dt:
-                raise DomainError(
-                    f"sample at t={time} breaks the uniform spacing dt={self.dt}"
-                )
-        self._times.append(time)
-        self._values.append(value)
-        if len(self._times) > self.window:
-            del self._times[0]
-            del self._values[0]
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def samples(self) -> tuple:
-        return tuple(zip(self._times, self._values))
-
-    @property
-    def times(self) -> tuple:
-        return tuple(self._times)
-
-    def value_array(self) -> np.ndarray:
-        """Stacked values, oldest first."""
-        return np.asarray(self._values, dtype=float)
 
 
 def amplitude(alpha: float) -> float:
@@ -108,67 +57,42 @@ def _l1_sum(values: np.ndarray, dt: float, mu: float):
     return np.tensordot(b[::-1], diffs, axes=(0, 0))
 
 
-def l1_frac_deriv(h: HistoryBuffer, order: FracOrder):
-    """L1 approximation of the order-mu Caputo-type derivative at the latest time.
-
-    mu = 0 returns the latest sample exactly (identity operator).  With mu > 0
-    at least two samples are required.
-    """
-    mu = order.mu
-    if len(h) == 0:
-        raise InsufficientHistoryError("empty history buffer")
-    values = h.value_array()
-    if mu == 0.0:
-        return values[-1]
-    if len(h) < 2:
+def _samples(values, dt: float, order: FracOrder) -> np.ndarray:
+    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0):
+        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+    values = np.asarray(values, dtype=float)
+    if values.ndim == 0 or values.shape[0] == 0:
+        raise InsufficientHistoryError("no samples")
+    if order.mu > 0.0 and values.shape[0] < 2:
         raise InsufficientHistoryError("order-mu L1 derivative needs at least 2 samples")
-    return _l1_sum(values, h.dt, mu)
+    return values
 
 
-def rl_window_deriv(h: HistoryBuffer, order: FracOrder):
+def l1_frac_deriv(values, dt: float, order: FracOrder):
+    """L1 approximation of the order-mu Caputo-type derivative at the latest sample.
+
+    ``values`` holds samples spaced ``dt`` apart along its first axis, oldest
+    first; further axes are carried through.  mu = 0 returns the latest
+    sample exactly (identity operator).  With mu > 0 at least two samples are
+    required.
+    """
+    values = _samples(values, dt, order)
+    if order.mu == 0.0:
+        return values[-1]
+    return _l1_sum(values, dt, order.mu)
+
+
+def rl_window_deriv(values, dt: float, order: FracOrder):
     """Riemann-Liouville-type order-mu derivative with the window start as lower terminal.
 
     Equals the Caputo L1 sum plus the lower-terminal contribution
-    g(a) (t-a)^(-mu) / Gamma(1-mu), where a is the oldest retained timestamp.
-    Reduces to the identity at mu = 0.
+    g(a) (t-a)^(-mu) / Gamma(1-mu), where a is the oldest sample's time and
+    t - a = (n-1) dt for n samples.  Reduces to the identity at mu = 0.
     """
+    values = _samples(values, dt, order)
     mu = order.mu
-    if len(h) == 0:
-        raise InsufficientHistoryError("empty history buffer")
-    values = h.value_array()
     if mu == 0.0:
         return values[-1]
-    if len(h) < 2:
-        raise InsufficientHistoryError("order-mu L1 derivative needs at least 2 samples")
-    span = h.times[-1] - h.times[0]
+    span = (values.shape[0] - 1) * dt
     terminal = values[0] * span ** (-mu) / math.gamma(1.0 - mu)
-    return _l1_sum(values, h.dt, mu) + terminal
-
-
-def composite_expansion_k1(v: float, dvdx_dot_f: float, dvdt: float, dt: float, alpha: float) -> float:
-    """First-order surrogate of the fractional discount increment over one step.
-
-    a dt^a / Gamma(a+1) * v + (1-a) dt^a / Gamma(a+1) * (dvdx_dot_f + dvdt) * dt.
-    """
-    if not (isinstance(dt, (int, float)) and math.isfinite(dt) and dt > 0.0):
-        raise DomainError(f"dt must be positive and finite, got {dt!r}")
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    base = dt**alpha / math.gamma(alpha + 1.0)
-    return alpha * base * v + (1.0 - alpha) * base * (dvdx_dot_f + dvdt) * dt
-
-
-def binomial_coeff(alpha: float, k: int) -> float:
-    """Generalized binomial coefficient C(alpha, k) = prod_{i=1..k} (alpha - i + 1)/i.
-
-    Returns 0 exactly when the product hits a zero factor (the reciprocal-gamma
-    convention at poles of the denominator gamma).
-    """
-    if not (isinstance(k, int) and k >= 0):
-        raise DomainError(f"k must be a non-negative integer, got {k!r}")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha)):
-        raise DomainError(f"alpha must be finite, got {alpha!r}")
-    out = 1.0
-    for i in range(1, k + 1):
-        out *= (alpha - i + 1.0) / i
-    return out
+    return _l1_sum(values, dt, mu) + terminal

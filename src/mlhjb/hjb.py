@@ -15,19 +15,23 @@ per time slice with the windowed L1 derivative.  Control minimization is
 exhaustive over a finite control grid; ties break to the lowest index.
 Dynamics and running-cost callables must accept numpy arrays with leading
 batch dimensions (state shape (..., dim_x), control shape (..., dim_u)).
+
+A solved Policy carries its own time and state grid; the forward rollout
+looks its control up at the nearest (t, x) node, lowest index on ties.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DivergenceError, DomainError, StateEscapeError
-from .fracderiv import FracOrder, HistoryBuffer, amplitude, rl_window_deriv
+from .fracderiv import FracOrder, amplitude, rl_window_deriv
 from .specfun import DiscountSpec, kernel
 
 __all__ = [
@@ -133,16 +137,40 @@ class ValueField:
         return float(_interp_grid(self.axes, self.values[time_index], foot, "clamp_gradient")[0])
 
 
-@dataclass
+def _nearest(nodes: list, v: float) -> int:
+    """Index of the sorted ``nodes`` entry closest to ``v``, lowest on ties."""
+    j = bisect_left(nodes, v)
+    if j == 0:
+        return 0
+    if j == len(nodes):
+        return j - 1
+    return j - 1 if v - nodes[j - 1] <= nodes[j] - v else j
+
+
+@dataclass(frozen=True)
 class Policy:
-    """Argmin control indices over (time, state grid), into ``control_grid``."""
+    """Feedback law tabulated on a (time, state grid).
+
+    ``controls`` holds indices into ``control_grid`` with shape
+    (len(times), len(axes[0]), ...); ``times`` and each axis are ascending.
+    """
 
     controls: np.ndarray
     control_grid: np.ndarray
+    times: np.ndarray
+    axes: tuple
 
-    def control_at(self, time_index: int, node_index) -> np.ndarray:
-        idx = self.controls[(time_index, *np.atleast_1d(node_index))]
-        return self.control_grid[idx]
+    def __post_init__(self) -> None:
+        grid = (len(self.times), *(len(ax) for ax in self.axes))
+        if np.shape(self.controls) != grid:
+            raise DomainError(f"policy controls of shape {np.shape(self.controls)} do not match the grid {grid}")
+        object.__setattr__(self, "_nodes", [[float(v) for v in ax] for ax in (self.times, *self.axes)])
+
+    def control(self, x, t: float) -> np.ndarray:
+        """Control of the node nearest to (t, x) per axis, lowest index on ties."""
+        t_nodes, *x_nodes = self._nodes
+        idx = (_nearest(t_nodes, float(t)), *(_nearest(nodes, float(x[d])) for d, nodes in enumerate(x_nodes)))
+        return self.control_grid[self.controls[idx]]
 
 
 def _axes_for(prob: ControlProblem, nx: int) -> tuple:
@@ -205,6 +233,15 @@ def _batched_LF(prob: ControlProblem, states: np.ndarray, t: float):
     return L, F
 
 
+def _hamiltonians(prob: ControlProblem, states: np.ndarray, grads, t: float) -> np.ndarray:
+    """L + p . f per state and grid control, with p[d] = grads[d] over the states."""
+    L, F = _batched_LF(prob, states, t)
+    h = L.copy()
+    for d in range(prob.dim_x):
+        h += grads[d][..., None] * F[..., d]
+    return h
+
+
 def pre_hamiltonian(prob: ControlProblem, x, u, p, t: float = 0.0) -> float:
     """L(x, u, t) + p . f(x, u, t)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -220,9 +257,11 @@ def min_hamiltonian(prob: ControlProblem, x, p, t: float = 0.0) -> tuple[float, 
 
     Returns (value, argmin index); ties break to the lowest index.
     """
-    vals = [pre_hamiltonian(prob, x, u, p, t) for u in prob.controls]
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    vals = _hamiltonians(prob, x, p, t)
     idx = int(np.argmin(vals))
-    return vals[idx], idx
+    return float(vals[idx]), idx
 
 
 def _stability_guard(spec: DiscountSpec, dt: float) -> None:
@@ -269,17 +308,13 @@ def _march(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple
         values[i] = slice_i
     return (
         ValueField(times=times, axes=axes, values=values),
-        Policy(controls=policy, control_grid=prob.controls),
+        Policy(controls=policy, control_grid=prob.controls, times=times[:nt], axes=axes),
     )
 
 
 def _min_h_field(prob: ControlProblem, axes: tuple, states: np.ndarray, v_slice: np.ndarray, t: float) -> np.ndarray:
     grads = np.gradient(v_slice, *axes) if len(axes) > 1 else [np.gradient(v_slice, axes[0])]
-    L, F = _batched_LF(prob, states, t)
-    h = L.copy()
-    for d in range(prob.dim_x):
-        h += grads[d][..., None] * F[..., d]
-    return h.min(axis=-1)
+    return _hamiltonians(prob, states, grads, t).min(axis=-1)
 
 
 def _residual_field(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, fld: ValueField) -> np.ndarray:
@@ -295,13 +330,8 @@ def _residual_field(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig,
     amp = amplitude(spec.alpha)
     order = FracOrder(1.0 - spec.alpha)
     res = np.full_like(fld.values, np.nan)
-    buf = HistoryBuffer(cfg.dt, cfg.window + 1)
-    buf.push(fld.times[0], fld.values[0])
-    for i in range(1, nt):
-        buf.push(fld.times[i], fld.values[i])
-        if len(buf) < cfg.window + 1:
-            continue
-        frac = rl_window_deriv(buf, order)
+    for i in range(cfg.window, nt):
+        frac = rl_window_deriv(fld.values[i - cfg.window : i + 1], cfg.dt, order)
         v_t = (fld.values[i + 1] - fld.values[i]) / cfg.dt
         min_h = _min_h_field(prob, axes, states, fld.values[i], fld.times[i])
         res[i] = -spec.lam * amp * frac - v_t - min_h
@@ -336,29 +366,13 @@ def _escape_bounds(prob: ControlProblem) -> np.ndarray:
     return np.stack([center - _ESCAPE_INFLATION * half, center + _ESCAPE_INFLATION * half], axis=1)
 
 
-def _policy_law(prob: ControlProblem, policy: Policy, cfg: SolverConfig):
-    axes = _axes_for(prob, cfg.nx)
-    nt = policy.controls.shape[0]
-    steps = [ax[1] - ax[0] for ax in axes]
-
-    def law(x: np.ndarray, t: float) -> np.ndarray:
-        i = min(max(int(round(t / cfg.dt)), 0), nt - 1)
-        idx = tuple(
-            int(np.clip(round((x[d] - axes[d][0]) / steps[d]), 0, len(axes[d]) - 1))
-            for d in range(prob.dim_x)
-        )
-        return policy.control_grid[policy.controls[(i, *idx)]]
-
-    return law
-
-
 def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: SolverConfig) -> float:
     """Forward rollout cost under a feedback law or solved Policy.
 
     Integrates the dynamics with classical RK4 and accumulates
     kernel(spec, t) * L along the trajectory with trapezoid weights up to
     cfg.horizon.  ``law`` is either a callable (state, time) -> control or a
-    Policy (looked up at the nearest grid node, held per step).
+    Policy, looked up on its own grid at the nearest (t, x) node.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     box = prob.box
@@ -367,7 +381,7 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
         raise DomainError(f"x0 {x0!r} lies outside the state box")
     if isinstance(law, Policy):
-        law = _policy_law(prob, law, cfg)
+        law = law.control
     nt = cfg.steps
     dt = cfg.dt
     times = np.arange(nt + 1) * dt

@@ -24,7 +24,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mlhjb import (
     DiscountSpec,
     FracOrder,
-    HistoryBuffer,
     QuadratureConfig,
     SolverConfig,
     amplitude,
@@ -138,10 +137,8 @@ def _criterion_4():
         worst_wall = max(worst_wall, time.perf_counter() - start)
         worst_diff = max(worst_diff, float(np.abs(fld_f.values - fld_c.values).max()))
     amp_ok = amplitude(1.0) == 1.0
-    h = HistoryBuffer(dt=0.1, window=5)
-    for k in range(5):
-        h.push(k * 0.1, 1.7 + 0.3 * k)
-    degenerate_ok = rl_window_deriv(h, FracOrder(0.0)) == h.value_array()[-1]
+    window = 1.7 + 0.3 * np.arange(5)
+    degenerate_ok = rl_window_deriv(window, 0.1, FracOrder(0.0)) == window[-1]
     ok = worst_diff <= 1e-12 and amp_ok and degenerate_ok and worst_wall < 10.0
     return ok, (
         f"max |fractional - classical| {worst_diff:.1e} (<=1e-12) over {len(catalog.PROBLEM_NAMES)} problems, "
@@ -181,10 +178,7 @@ def _criterion_6():
 
     def l1_at_one(g, mu, dt):
         n = round(1.0 / dt)
-        h = HistoryBuffer(dt=dt, window=n + 1)
-        for k in range(n + 1):
-            h.push(k * dt, g(k * dt))
-        return l1_frac_deriv(h, FracOrder(mu))
+        return l1_frac_deriv(np.array([g(k * dt) for k in range(n + 1)]), dt, FracOrder(mu))
 
     worst_rel = 0.0
     min_order = math.inf

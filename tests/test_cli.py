@@ -259,6 +259,14 @@ class TestCost:
         path.write_text("t,x,u\n0,-2,0.1\n0,2,0.1\n1,-2,0.1\n")
         assert run(["cost", "--policy", str(path)], capsys)[0] == 2
 
+    def test_duplicate_node_policy_exits_2(self, capsys, tmp_path):
+        # four rows for a 2 x 2 grid, but (0, -2) twice and (0.05, -2) never
+        path = tmp_path / "policy.csv"
+        path.write_text("t,x,u\n0,-2,0.5\n0,-2,0.5\n0,2,0.5\n0.05,2,0.5\n")
+        code, _, err = run(["cost", "--policy", str(path)], capsys)
+        assert code == 2
+        assert "repeats" in err
+
 
 class TestParser:
     def test_no_subcommand_exits_2(self, capsys):
@@ -269,3 +277,18 @@ class TestParser:
 
     def test_non_numeric_x0_exits_2(self, capsys):
         assert cli.main(["cost", "--x0", "a,b"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ml", "--z", "1", "--seed", "3"],
+            ["verify", "--seed", "3"],
+            ["solve", "--seed", "3"],
+            ["cost", "--seed", "3"],
+            ["solve", "--tol", "1e-3"],
+            ["cost", "--tol", "1e-3"],
+            ["cost", "--nx", "17"],
+        ],
+    )
+    def test_removed_flag_exits_2(self, argv, capsys):
+        assert cli.main(argv) == 2

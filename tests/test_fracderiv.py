@@ -1,4 +1,4 @@
-"""L1 derivative, amplitude, expansion surrogate, binomial coefficient."""
+"""L1 and windowed Riemann-Liouville derivatives, derivative order, amplitude."""
 
 import math
 
@@ -8,22 +8,17 @@ import pytest
 from mlhjb import (
     DomainError,
     FracOrder,
-    HistoryBuffer,
     InsufficientHistoryError,
     amplitude,
-    binomial_coeff,
-    composite_expansion_k1,
     l1_frac_deriv,
     rl_window_deriv,
 )
 
 
-def _buffer_of(fn, dt: float, t_end: float) -> HistoryBuffer:
+def _samples_of(fn, dt: float, t_end: float) -> np.ndarray:
+    """fn on 0, dt, ..., t_end, oldest first."""
     n = round(t_end / dt)
-    buf = HistoryBuffer(dt, n + 1)
-    for i in range(n + 1):
-        buf.push(i * dt, fn(i * dt))
-    return buf
+    return np.array([fn(i * dt) for i in range(n + 1)])
 
 
 class TestFracOrder:
@@ -33,34 +28,6 @@ class TestFracOrder:
         for bad in (1.0, -0.1, float("nan")):
             with pytest.raises(DomainError):
                 FracOrder(bad)
-
-
-class TestHistoryBuffer:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            HistoryBuffer(0.0, 4)
-        with pytest.raises(DomainError):
-            HistoryBuffer(0.1, 0)
-
-    def test_spacing_enforced(self):
-        buf = HistoryBuffer(0.1, 8)
-        buf.push(0.0, 1.0)
-        buf.push(0.1, 2.0)
-        with pytest.raises(DomainError):
-            buf.push(0.25, 3.0)
-
-    def test_window_trim(self):
-        buf = HistoryBuffer(0.5, 3)
-        for i in range(6):
-            buf.push(0.5 * i, float(i))
-        assert len(buf) == 3
-        assert buf.times == (1.5, 2.0, 2.5)
-        assert list(buf.value_array()) == [3.0, 4.0, 5.0]
-
-    def test_samples(self):
-        buf = HistoryBuffer(1.0, 4)
-        buf.push(0.0, 7.0)
-        assert buf.samples == ((0.0, 7.0),)
 
 
 class TestAmplitude:
@@ -90,15 +57,15 @@ class TestAmplitude:
 class TestL1FracDeriv:
     def test_linear_function(self):
         # D^mu t = t^(1-mu)/Gamma(2-mu); at t = 1, mu = 0.5
-        buf = _buffer_of(lambda t: t, 1e-3, 1.0)
-        got = float(l1_frac_deriv(buf, FracOrder(0.5)))
+        vals = _samples_of(lambda t: t, 1e-3, 1.0)
+        got = float(l1_frac_deriv(vals, 1e-3, FracOrder(0.5)))
         assert got == pytest.approx(1.0 / math.gamma(1.5), rel=1e-3)
 
     def test_quadratic_function(self):
         for mu in (0.25, 0.5, 0.75):
-            buf = _buffer_of(lambda t: t * t, 1e-3, 1.0)
+            vals = _samples_of(lambda t: t * t, 1e-3, 1.0)
             exact = 2.0 / math.gamma(3.0 - mu)
-            assert float(l1_frac_deriv(buf, FracOrder(mu))) == pytest.approx(exact, rel=1e-3)
+            assert float(l1_frac_deriv(vals, 1e-3, FracOrder(mu))) == pytest.approx(exact, rel=1e-3)
 
     def test_convergence_rate(self):
         # error for t^2 shrinks like dt^(2-mu); factor >= 2^1.5 per halving, 20% slack
@@ -106,116 +73,53 @@ class TestL1FracDeriv:
             exact = 2.0 / math.gamma(3.0 - mu)
             errs = []
             for dt in (4e-3, 2e-3):
-                buf = _buffer_of(lambda t: t * t, dt, 1.0)
-                errs.append(abs(float(l1_frac_deriv(buf, FracOrder(mu))) - exact))
+                vals = _samples_of(lambda t: t * t, dt, 1.0)
+                errs.append(abs(float(l1_frac_deriv(vals, dt, FracOrder(mu))) - exact))
             assert errs[0] / errs[1] >= 0.8 * 2.0**1.5
 
     def test_constant(self):
-        buf = _buffer_of(lambda t: 3.7, 0.01, 0.5)
+        vals = _samples_of(lambda t: 3.7, 0.01, 0.5)
         for mu in (0.25, 0.9):
-            assert abs(float(l1_frac_deriv(buf, FracOrder(mu)))) <= 1e-12
+            assert abs(float(l1_frac_deriv(vals, 0.01, FracOrder(mu)))) <= 1e-12
 
     def test_identity_order(self):
-        buf = _buffer_of(lambda t: math.sin(t), 0.1, 1.0)
-        assert float(l1_frac_deriv(buf, FracOrder(0.0))) == math.sin(1.0)
+        vals = _samples_of(lambda t: math.sin(t), 0.1, 1.0)
+        assert float(l1_frac_deriv(vals, 0.1, FracOrder(0.0))) == math.sin(1.0)
 
     def test_insufficient_history(self):
-        buf = HistoryBuffer(0.1, 4)
-        buf.push(0.0, 1.0)
-        with pytest.raises(InsufficientHistoryError):
-            l1_frac_deriv(buf, FracOrder(0.5))
-        # identity order works with a single sample
-        assert float(l1_frac_deriv(buf, FracOrder(0.0))) == 1.0
-        with pytest.raises(InsufficientHistoryError):
-            l1_frac_deriv(HistoryBuffer(0.1, 4), FracOrder(0.0))
+        for deriv in (l1_frac_deriv, rl_window_deriv):
+            with pytest.raises(InsufficientHistoryError):
+                deriv([1.0], 0.1, FracOrder(0.5))
+            # identity order works with a single sample
+            assert float(deriv([1.0], 0.1, FracOrder(0.0))) == 1.0
+            with pytest.raises(InsufficientHistoryError):
+                deriv(np.empty((0, 3)), 0.1, FracOrder(0.0))
+            for bad_dt in (0.0, -0.1, float("nan")):
+                with pytest.raises(DomainError):
+                    deriv([1.0, 2.0], bad_dt, FracOrder(0.5))
 
     def test_array_values(self):
-        buf = HistoryBuffer(0.01, 200)
-        for i in range(101):
-            t = 0.01 * i
-            buf.push(t, np.array([t, t * t]))
-        vec = l1_frac_deriv(buf, FracOrder(0.5))
-        b1 = _buffer_of(lambda t: t, 0.01, 1.0)
-        b2 = _buffer_of(lambda t: t * t, 0.01, 1.0)
-        assert vec[0] == pytest.approx(float(l1_frac_deriv(b1, FracOrder(0.5))), rel=1e-14)
-        assert vec[1] == pytest.approx(float(l1_frac_deriv(b2, FracOrder(0.5))), rel=1e-14)
+        vals = _samples_of(lambda t: np.array([t, t * t]), 0.01, 1.0)
+        vec = l1_frac_deriv(vals, 0.01, FracOrder(0.5))
+        v1 = _samples_of(lambda t: t, 0.01, 1.0)
+        v2 = _samples_of(lambda t: t * t, 0.01, 1.0)
+        assert vec[0] == pytest.approx(float(l1_frac_deriv(v1, 0.01, FracOrder(0.5))), rel=1e-14)
+        assert vec[1] == pytest.approx(float(l1_frac_deriv(v2, 0.01, FracOrder(0.5))), rel=1e-14)
 
 
 class TestRlWindowDeriv:
     def test_matches_caputo_when_start_is_zero(self):
-        buf = _buffer_of(lambda t: t, 1e-3, 1.0)
+        vals = _samples_of(lambda t: t, 1e-3, 1.0)
         mu = FracOrder(0.5)
-        assert float(rl_window_deriv(buf, mu)) == pytest.approx(float(l1_frac_deriv(buf, mu)), rel=1e-12)
+        assert float(rl_window_deriv(vals, 1e-3, mu)) == pytest.approx(float(l1_frac_deriv(vals, 1e-3, mu)), rel=1e-12)
 
     def test_constant_gets_terminal_term(self):
         # RL derivative of a constant c over [a, t]: c (t-a)^(-mu)/Gamma(1-mu)
         c, mu = 3.0, 0.4
-        buf = _buffer_of(lambda t: c, 0.01, 0.5)
+        vals = _samples_of(lambda t: c, 0.01, 0.5)
         exact = c * 0.5 ** (-mu) / math.gamma(1.0 - mu)
-        assert float(rl_window_deriv(buf, FracOrder(mu))) == pytest.approx(exact, rel=1e-10)
+        assert float(rl_window_deriv(vals, 0.01, FracOrder(mu))) == pytest.approx(exact, rel=1e-10)
 
     def test_identity_order(self):
-        buf = _buffer_of(lambda t: t * t, 0.1, 0.5)
-        assert float(rl_window_deriv(buf, FracOrder(0.0))) == 0.25
-
-
-class TestCompositeExpansion:
-    def test_zero_inputs(self):
-        assert composite_expansion_k1(0.0, 0.0, 0.0, 0.01, 0.5) == 0.0
-
-    def test_direct_value(self):
-        got = composite_expansion_k1(1.0, 0.0, 0.0, 0.01, 0.5)
-        assert got == pytest.approx(0.05 / math.gamma(1.5), rel=1e-14)
-
-    def test_leading_scale(self):
-        # with derivatives zero the value scales like dt^alpha
-        alpha = 0.7
-        v1 = composite_expansion_k1(1.0, 0.0, 0.0, 1e-3, alpha)
-        v2 = composite_expansion_k1(1.0, 0.0, 0.0, 5e-4, alpha)
-        slope = math.log(v1 / v2) / math.log(2.0)
-        assert slope == pytest.approx(alpha, abs=1e-3)
-
-    def test_classical_limit_coefficient(self):
-        # alpha dt^alpha / Gamma(alpha+1) -> dt as alpha -> 1
-        alpha, dt = 1.0 - 1e-6, 0.01
-        coeff = composite_expansion_k1(1.0, 0.0, 0.0, dt, alpha)
-        assert coeff == pytest.approx(dt, rel=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            composite_expansion_k1(1.0, 0.0, 0.0, 0.0, 0.5)
-        for bad in (0.0, 1.0, 1.3):
-            with pytest.raises(DomainError):
-                composite_expansion_k1(1.0, 0.0, 0.0, 0.01, bad)
-
-
-class TestBinomialCoeff:
-    def test_first(self):
-        assert binomial_coeff(0.7, 1) == pytest.approx(0.7, rel=1e-15)
-
-    def test_zeroth(self):
-        assert binomial_coeff(0.3, 0) == 1.0
-
-    def test_half_two(self):
-        assert binomial_coeff(0.5, 2) == pytest.approx(-0.125, rel=1e-15)
-
-    def test_gamma_route(self):
-        # dual route through the gamma-function form away from poles
-        for alpha, k in ((0.5, 3), (0.8, 5), (2.3, 4)):
-            ref = math.gamma(alpha + 1.0) / (math.gamma(k + 1.0) * math.gamma(alpha - k + 1.0))
-            assert binomial_coeff(alpha, k) == pytest.approx(ref, rel=1e-12)
-
-    def test_pascal_recurrence(self):
-        alpha = 0.7
-        for k in range(1, 9):
-            lhs = binomial_coeff(alpha, k)
-            rhs = binomial_coeff(alpha, k - 1) * (alpha - k + 1.0) / k
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_integer_pole_zero(self):
-        # C(3, 5) hits Gamma(-1) in the denominator: exact zero by convention
-        assert binomial_coeff(3.0, 5) == 0.0
-
-    def test_bad_k(self):
-        with pytest.raises(DomainError):
-            binomial_coeff(0.5, -1)
+        vals = _samples_of(lambda t: t * t, 0.1, 0.5)
+        assert float(rl_window_deriv(vals, 0.1, FracOrder(0.0))) == 0.25

@@ -1,5 +1,6 @@
 """Grid solvers against Riccati, bound, scaling, and self-convergence oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -261,8 +262,46 @@ class TestEvaluateCost:
             shift = rng.choice([-5, 5])
             block = perturbed[start : start + nt // 10]
             perturbed[start : start + nt // 10] = np.clip(block + shift, 0, len(LQ.controls) - 1)
-            j_pert = evaluate_cost(LQ, spec, Policy(perturbed, pol.control_grid), x0, cfg)
+            j_pert = evaluate_cost(LQ, spec, dataclasses.replace(pol, controls=perturbed), x0, cfg)
             assert j_pert >= j_solved - 1e-3
+
+    def test_policy_rollout_ignores_config_grid(self):
+        # the policy is looked up on its own grid, whatever nx and dt the rollout uses
+        spec = DiscountSpec(1.0, -0.5)
+        _, pol = solve_classical(LQ, spec, SolverConfig(dt=0.01, horizon=2.0, nx=33))
+        x0 = np.array([1.0])
+        costs = {
+            (dt, nx): evaluate_cost(LQ, spec, pol, x0, SolverConfig(dt=dt, horizon=2.0, nx=nx))
+            for dt in (0.01, 0.005)
+            for nx in (17, 33, 65)
+        }
+        for dt in (0.01, 0.005):
+            assert costs[(dt, 17)] == costs[(dt, 33)] == costs[(dt, 65)]
+        assert costs[(0.005, 33)] == pytest.approx(costs[(0.01, 33)], rel=1e-2)
+
+
+class TestPolicy:
+    GRID = np.array([[-1.0], [0.0], [1.0]])
+
+    def _policy(self):
+        controls = np.array([[0, 1, 2], [2, 1, 0]])
+        return Policy(controls=controls, control_grid=self.GRID, times=np.array([0.0, 0.5]), axes=(np.array([-1.0, 0.0, 1.0]),))
+
+    def test_nearest_node(self):
+        pol = self._policy()
+        assert pol.control(np.array([0.2]), 0.1)[0] == 0.0
+        assert pol.control(np.array([0.9]), 0.4)[0] == -1.0
+        # outside the grid: the end nodes
+        assert pol.control(np.array([-5.0]), 7.0)[0] == 1.0
+
+    def test_ties_break_low(self):
+        pol = self._policy()
+        assert pol.control(np.array([0.5]), 0.0)[0] == 0.0
+        assert pol.control(np.array([-0.5]), 0.25)[0] == -1.0
+
+    def test_grid_shape_enforced(self):
+        with pytest.raises(DomainError):
+            Policy(controls=np.zeros((2, 4), dtype=int), control_grid=self.GRID, times=np.array([0.0, 0.5]), axes=(np.array([-1.0, 0.0, 1.0]),))
 
 
 class TestTwoDimensional:
