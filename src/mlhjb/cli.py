@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
@@ -217,24 +218,20 @@ def _slice_indices(count: int, stride: int | None) -> list[int]:
     return idx
 
 
-def _grid_rows(axes: tuple) -> list[tuple]:
-    if len(axes) == 1:
-        return [(i,) for i in range(len(axes[0]))]
-    return [(i, j) for i in range(len(axes[0])) for j in range(len(axes[1]))]
+def _write_field_csv(path: str, header: list[str], times, axes, indices, columns) -> None:
+    """Write ``header``, then one row "t,x...,v..." per grid node of each slice in ``indices``.
 
-
-def _write_field_csv(path: str, header: list[str], times, axes, indices, value_of) -> None:
-    nodes = _grid_rows(axes)
+    ``columns(i)`` returns slice i as a (nodes, k) array, nodes in the grid's
+    C order.  Cells are ``%.12g``; a slice is formatted and written at once.
+    """
+    coords = [[_fmt_csv(c) + "," for c in ax] for ax in axes]
+    cells = ",".join(["%.12g"] * (len(header) - 1 - len(axes)))
+    rows = ["".join(node) + cells for node in itertools.product(*coords)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for i in indices:
-            for node in nodes:
-                coords = [axes[d][node[d]] for d in range(len(axes))]
-                vals = value_of(i, node)
-                if vals is None:
-                    continue
-                writer.writerow([_fmt_csv(times[i])] + [_fmt_csv(c) for c in coords] + [_fmt_csv(v) for v in vals])
+            prefix = _fmt_csv(times[i]) + ","
+            fh.write((prefix + ("\n" + prefix).join(rows) + "\n") % tuple(columns(i).ravel().tolist()))
 
 
 def _cmd_solve(args) -> int:
@@ -246,6 +243,9 @@ def _cmd_solve(args) -> int:
         nx=entry.nx if args.nx is None else args.nx,
         window=entry.window if args.window is None else args.window,
     )
+    x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
+    if len(x0) != entry.problem.dim_x:
+        raise DomainError(f"--x0 must have {entry.problem.dim_x} components for {entry.name}")
     fld, pol = solve_fractional(entry.problem, spec, cfg)
     outdir = args.out or os.environ.get(_ENV_OUT) or "."
     os.makedirs(outdir, exist_ok=True)
@@ -260,30 +260,26 @@ def _cmd_solve(args) -> int:
         fld.times,
         axes,
         value_idx,
-        lambda i, node: (fld.values[(i, *node)],),
+        lambda i: fld.values[i].reshape(-1, 1),
     )
-    policy_idx = [i for i in _slice_indices(nt, args.stride) if i < nt]
     ucols = ["u"] if pol.control_grid.shape[1] == 1 else [f"u{k+1}" for k in range(pol.control_grid.shape[1])]
     _write_field_csv(
         os.path.join(outdir, "policy.csv"),
         ["t"] + xcols + ucols,
         fld.times,
         axes,
-        policy_idx,
-        lambda i, node: tuple(pol.control_grid[pol.controls[(i, *node)]]),
+        _slice_indices(nt, args.stride),
+        lambda i: pol.control_grid[pol.controls[i].ravel()],
     )
-    resid_idx = [i for i in value_idx if i < fld.residual.shape[0] and np.all(np.isfinite(fld.residual[i]))]
+    resid_idx = [i for i in value_idx if np.all(np.isfinite(fld.residual[i]))]
     _write_field_csv(
         os.path.join(outdir, "residual.csv"),
         ["t"] + xcols + ["residual"],
         fld.times,
         axes,
         resid_idx,
-        lambda i, node: (fld.residual[(i, *node)],),
+        lambda i: fld.residual[i].reshape(-1, 1),
     )
-    x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
-    if len(x0) != entry.problem.dim_x:
-        raise DomainError(f"--x0 must have {entry.problem.dim_x} components for {entry.name}")
     print(f"V(x0,0) = {_fmt_line(fld.at(np.asarray(x0), 0))}")
     return EXIT_OK
 
@@ -291,21 +287,24 @@ def _cmd_solve(args) -> int:
 def _read_policy(path: str, dim_x: int) -> Policy:
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError(f"cannot read policy file {path!r}: {exc}")
-    if len(rows) < 2:
+    if len(lines) < 2:
         raise ConfigError(f"policy file {path!r} has no data rows")
-    header = rows[0]
-    if len(header) < dim_x + 2 or header[0] != "t":
+    header = lines[0].split(",")
+    widths = {line.count(",") + 1 for line in lines[1:]}
+    # rows all of one width that is not the header's: the header is wrong
+    if len(header) < dim_x + 2 or header[0] != "t" or (len(widths) == 1 and widths != {len(header)}):
         raise ConfigError(f"policy file {path!r} header {header!r} does not match (t, x..., u...)")
+    if len(widths) > 1:
+        raise ConfigError(f"policy file {path!r} has ragged rows")
     try:
-        data = np.array([[float(v) for v in row] for row in rows[1:]], dtype=float)
+        # one split of the text and one conversion in C; numpy parses each
+        # cell as float() does, -0, nan and inf included
+        data = np.array(",".join(lines[1:]).split(","), dtype=float).reshape(len(lines) - 1, len(header))
     except ValueError:
         raise ConfigError(f"policy file {path!r} contains non-numeric cells")
-    if data.shape[1] != len(header):
-        raise ConfigError(f"policy file {path!r} has ragged rows")
     tvals = np.unique(data[:, 0])
     axes = [np.unique(data[:, 1 + d]) for d in range(dim_x)]
     shape = (len(tvals),) + tuple(len(ax) for ax in axes)

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exact output bytes, exit codes, config handling."""
 
 import csv
+import hashlib
 import math
 import os
 
@@ -148,6 +149,66 @@ class TestSolve:
     def test_unknown_problem_exits_2(self, capsys):
         assert run(["solve", "--problem", "nosuch"], capsys)[0] == 2
 
+    # frozen SHA-256 of (value.csv, policy.csv, residual.csv): the bytes of a
+    # solve are a contract (see README), and repeat-run identity alone cannot
+    # catch a change in formatting
+    @pytest.mark.parametrize(
+        "argv, digests",
+        [
+            (
+                ["--problem", "lq1d", *FAST_SOLVE],
+                (
+                    "be959f1bd64f4b6deaf80999ec05aa15c136c22e3a0e4f47c00f3c4d9e14a3bb",
+                    "f92b3eaa813a58731e3d5a48a9758cfd0462440d98ce72bc59221ac661f27157",
+                    "a47aa90979b052e838dce7a093b450b1dbedaa964b7ad9c013076faffe50774d",
+                ),
+            ),
+            (
+                # 2-D grid, every 3rd slice, residual warm-up rows skipped
+                ["--problem", "osc2d", "--dt", "0.02", "--horizon", "0.4", "--nx", "9", "--window", "8",
+                 "--alpha", "0.8", "--stride", "3"],
+                (
+                    "db2fde2b1ab595c10bbbbcbf88ff5b23a1f26ccc1519480d67d4a3dbfc68ec3e",
+                    "ee4c63898e6fad361e016569d60f2e2f920412a7f1449cfe2f3796f110c74637",
+                    "bd416e563516a657e650d272928602bde2bb89a0fd1bfa8da2e351eaa5668165",
+                ),
+            ),
+            (
+                # extrapolate_linear boundary
+                ["--problem", "bounded1d", "--dt", "0.02", "--horizon", "0.5", "--nx", "17", "--window", "8",
+                 "--alpha", "0.8"],
+                (
+                    "19a953fb31a675cc7691c1058bf1b22eeb65b45537ff29250d28119153f6a35a",
+                    "5726feb68d69c920230556e31ce689270bf54b52a1c57af6d43ac6c0d3318554",
+                    "217031d70436172228c966a56c7afd41d63445b690cd75835a83434126c63bfb",
+                ),
+            ),
+            (
+                # all-zero values
+                ["--problem", "zero1d", "--alpha", "0.8"],
+                (
+                    "46f298768080ed1ef19112f0ebf7518bc1cd594c55a5dc3214af48aaf968eb4b",
+                    "f867a34ed445efb13458e155a96d3c32c5867c3c83e874e229cca03610af50e4",
+                    "e8408342eae15d83f2660251e24176405b4291e0f6d153cd7b5ae9954f3783d3",
+                ),
+            ),
+        ],
+        ids=["lq1d", "osc2d-stride", "bounded1d", "zero1d"],
+    )
+    def test_golden_bytes(self, argv, digests, capsys, tmp_path):
+        assert run(["solve", *argv, "--out", str(tmp_path)], capsys)[0] == 0
+        got = tuple(
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("value.csv", "policy.csv", "residual.csv")
+        )
+        assert got == digests
+
+    def test_bad_x0_exits_2_before_writing(self, capsys, tmp_path):
+        code, _, err = run(["solve", "--problem", "osc2d", "--x0", "1", "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "--x0 must have 2 components" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
     def test_stride_thins_slices(self, capsys, tmp_path):
         code, _, _ = run(["solve", *FAST_SOLVE, "--stride", "25", "--out", str(tmp_path)], capsys)
         assert code == 0
@@ -247,7 +308,36 @@ class TestCost:
     def test_malformed_policy_exits_2(self, capsys, tmp_path):
         path = tmp_path / "policy.csv"
         path.write_text("t,x,u\n0,-2\n")
-        assert run(["cost", "--policy", str(path)], capsys)[0] == 2
+        code, _, err = run(["cost", "--policy", str(path)], capsys)
+        assert code == 2
+        assert "does not match" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("t,x,u\n0,-2\n0,2\n", "does not match"),
+            ("t,x,u\n0,-2,0.1,7\n0,2,0.1,7\n", "does not match"),
+            ("t,x,u\n0,-2,0.1\n0,2\n", "ragged rows"),
+            ("t,x,u\n0,-2,0.1\n0,2,0.1,7\n", "ragged rows"),
+            ("t,x,u\n0,-2,0.1\n0,2,abc\n", "non-numeric"),
+        ],
+        ids=["all-short", "all-long", "short-row", "long-row", "non-numeric"],
+    )
+    def test_policy_row_errors_exit_2(self, text, message, capsys, tmp_path):
+        path = tmp_path / "policy.csv"
+        path.write_text(text)
+        code, _, err = run(["cost", "--policy", str(path)], capsys)
+        assert code == 2
+        assert message in err
+
+    def test_policy_cells_parse_as_float(self, tmp_path):
+        cells = ["-0", "1e-300", "0.1", "-2.5e3", "1_0", " 7 "]
+        path = tmp_path / "policy.csv"
+        path.write_text("t,x,u\n" + "".join(f"0,{k},{c}\n" for k, c in enumerate(cells)))
+        got = cli._read_policy(str(path), 1).control_grid[:, 0]
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_header_only_policy_exits_2(self, capsys, tmp_path):
         path = tmp_path / "policy.csv"
