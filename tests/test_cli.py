@@ -4,6 +4,8 @@ import csv
 import hashlib
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +271,28 @@ class TestCost:
         code, out, _ = run(["cost", "--problem", "static1d", "--lambda", "-1"], capsys)
         assert code == 0
         assert float(out) == pytest.approx(1.0, abs=1e-3)
+
+    def test_static1d_fractional_matches_closed_form(self, capsys):
+        # T E_{0.8,2}(-T^0.8) at the default T = 40, where the kernel's float64
+        # series cancels 17 digits; trapezoid error O(dt^1.8) at dt = 0.01
+        code, out, _ = run(["cost", "--problem", "static1d", "--alpha", "0.8", "--lambda=-1"], capsys)
+        assert code == 0
+        assert float(out) == pytest.approx(2.2267756389947, abs=2.5e-4)
+
+    def test_catalog_commands_do_not_import_mpmath(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from mlhjb import cli\n"
+            "assert cli.main(['cost', '--problem', 'static1d', '--alpha', '0.8', '--lambda=-1']) == 0\n"
+            "assert cli.main(['verify', '--alpha', '0.5']) == 0\n"
+            f"assert cli.main(['solve', '--problem', 'lq1d', *{FAST_SOLVE!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('mpmath' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "False"
 
     def test_lqr_feedback_near_riccati_value(self, capsys):
         code, out, _ = run(["cost", "--problem", "lq1d", "--feedback", "lqr", "--x0", "1.0"], capsys)
