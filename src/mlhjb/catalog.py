@@ -42,6 +42,7 @@ def _lq1d() -> CatalogEntry:
         control_grid=np.linspace(-2.5, 2.5, 101)[:, None],
         state_box=[(-2.0, 2.0)],
         boundary="clamp_gradient",
+        time_invariant=True,
     )
     return CatalogEntry(
         name="lq1d",
@@ -63,6 +64,7 @@ def _bounded1d() -> CatalogEntry:
         control_grid=np.linspace(-1.0, 1.0, 21)[:, None],
         state_box=[(-2.0, 2.0)],
         boundary="extrapolate_linear",
+        time_invariant=True,
     )
     return CatalogEntry(
         name="bounded1d",
@@ -87,6 +89,7 @@ def _osc2d() -> CatalogEntry:
         control_grid=np.linspace(-1.0, 1.0, 9)[:, None],
         state_box=[(-2.0, 2.0), (-2.0, 2.0)],
         boundary="clamp_gradient",
+        time_invariant=True,
     )
     return CatalogEntry(
         name="osc2d",
@@ -108,6 +111,7 @@ def _static1d() -> CatalogEntry:
         control_grid=[[0.0]],
         state_box=[(-1.0, 1.0)],
         boundary="clamp_gradient",
+        time_invariant=True,
     )
     return CatalogEntry(
         name="static1d",
@@ -129,6 +133,7 @@ def _zero1d() -> CatalogEntry:
         control_grid=[[0.0]],
         state_box=[(-1.0, 1.0)],
         boundary="clamp_gradient",
+        time_invariant=True,
     )
     return CatalogEntry(
         name="zero1d",

@@ -17,10 +17,12 @@ the default output directory for `solve` when --out is absent.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import itertools
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -163,6 +165,20 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+def _create(path: str):
+    """Open ``path`` as a new text file, unlinking a regular file there first.
+
+    Truncating a file whose old contents are still being written back can
+    stall (seen on ext4); unlinking and creating does not.  A symlink to a
+    regular file is replaced by a regular file; devices, pipes and symlinks
+    to them are written through.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        if stat.S_ISREG(os.stat(path).st_mode):
+            os.unlink(path)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _emit_line(line: str, out: str | None) -> None:
     print(line)
     if out:
@@ -197,7 +213,7 @@ def _cmd_verify(args) -> int:
         resid = kt * ks - delta - kts
         worst = max(worst, abs(resid))
         rows.append((args.t, s, kt * ks, delta, kts, resid))
-    target = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    target = _create(args.out) if args.out else sys.stdout
     try:
         writer = csv.writer(target, lineterminator="\n")
         writer.writerow(["t", "s", "product", "delta", "composed", "residual"])
@@ -227,7 +243,7 @@ def _write_field_csv(path: str, header: list[str], times, axes, indices, columns
     coords = [[_fmt_csv(c) + "," for c in ax] for ax in axes]
     cells = ",".join(["%.12g"] * (len(header) - 1 - len(axes)))
     rows = ["".join(node) + cells for node in itertools.product(*coords)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for i in indices:
             prefix = _fmt_csv(times[i]) + ","

@@ -16,6 +16,16 @@ exhaustive over a finite control grid; ties break to the lowest index.
 Dynamics and running-cost callables must accept numpy arrays with leading
 batch dimensions (state shape (..., dim_x), control shape (..., dim_u)).
 
+Each march step is built, then applied.  Building evaluates L and f on the
+(grid nodes, controls) batch and turns the feet x + f dt into an
+interpolation stencil: base node indices and the weights (1 - f), f per
+axis.  Applying it to a value slice is a gather, a multiply-add and an
+argmin, written into buffers allocated once per solve; the residual pass
+likewise reuses one L, f and Hamiltonian buffer.  A problem declared
+``time_invariant`` (dynamics and cost ignore t; every catalog problem)
+builds once per solve; any other problem rebuilds at every step with that
+step's t.  Both give the same bits.
+
 A solved Policy carries its own time and state grid; the forward rollout
 looks its control up at the nearest (t, x) node, lowest index on ties.
 """
@@ -54,7 +64,12 @@ _ESCAPE_INFLATION = 1.5
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Dynamics, running cost, control grid, and state box of one problem."""
+    """Dynamics, running cost, control grid, and state box of one problem.
+
+    ``time_invariant`` declares that dynamics and running cost ignore their
+    time argument; the solvers then evaluate them once per pass, at t = 0,
+    instead of once per time step.
+    """
 
     dim_x: int
     dynamics: Callable
@@ -62,6 +77,7 @@ class ControlProblem:
     control_grid: Sequence
     state_box: Sequence
     boundary: str = "clamp_gradient"
+    time_invariant: bool = False
 
     def __post_init__(self) -> None:
         if self.dim_x not in (1, 2):
@@ -134,7 +150,8 @@ class ValueField:
     def at(self, x, time_index: int = 0) -> float:
         """Multilinear interpolation of the slice at ``time_index``."""
         foot = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        return float(_interp_grid(self.axes, self.values[time_index], foot, "clamp_gradient")[0])
+        stencil = _stencil(self.axes, foot, "clamp_gradient")
+        return float(_apply_stencil(stencil, self.values[time_index], np.empty(1), np.empty(1))[0])
 
 
 def _nearest(nodes: list, v: float) -> int:
@@ -182,42 +199,46 @@ def _grid_states(axes: tuple) -> np.ndarray:
     return np.stack(mesh, axis=-1)
 
 
-def _interp_grid(axes: tuple, values: np.ndarray, feet: np.ndarray, boundary: str) -> np.ndarray:
-    """Multilinear interpolation of a grid field at arbitrary feet.
+def _stencil(axes: tuple, feet: np.ndarray, boundary: str) -> tuple:
+    """Multilinear interpolation stencil of a grid at arbitrary feet.
 
-    clamp_gradient clips feet into the box (constant continuation);
-    extrapolate_linear continues the outermost cell's linear model.
+    Returns (base, corners): the flat index of each foot's lowest cell
+    corner, and the cell corners in the order the interpolant sums them,
+    each as (flat offset from base, weights) with one weight per axis:
+    (1 - f) on the lower node and f on the upper one.  clamp_gradient clips
+    feet into the box (constant continuation); extrapolate_linear continues
+    the outermost cell's linear model.
     """
-    dim = len(axes)
-    bases = []
-    fracs = []
-    for d in range(dim):
-        ax = axes[d]
+    base, corners = 0, [(0, [])]
+    for d, ax in enumerate(axes):
         step = ax[1] - ax[0]
         g = (feet[..., d] - ax[0]) / step
         if boundary == "clamp_gradient":
             g = np.clip(g, 0.0, len(ax) - 1.0)
-        base = np.clip(np.floor(g).astype(np.int64), 0, len(ax) - 2)
-        bases.append(base)
-        fracs.append(g - base)
-    if dim == 1:
-        b0, f0 = bases[0], fracs[0]
-        return values[b0] * (1.0 - f0) + values[b0 + 1] * f0
-    b0, b1 = bases
-    f0, f1 = fracs
-    n1 = len(axes[1])
+        lower = np.clip(np.floor(g).astype(np.int64), 0, len(ax) - 2)
+        f = g - lower
+        base = base * len(ax) + lower
+        ends = ((0, 1.0 - f), (1, f))
+        corners = [(off * len(ax) + k, weights + [w]) for off, weights in corners for k, w in ends]
+    return base, corners
+
+
+def _apply_stencil(stencil: tuple, values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Interpolate ``values`` with a stencil from _stencil into ``out``.
+
+    ``out`` and ``tmp`` have the stencil's shape.  Each corner is the node
+    value times its weights, left to right, and the corners add up in order.
+    """
+    base, corners = stencil
     flat = values.ravel()
-    i00 = b0 * n1 + b1
-    v00 = flat[i00]
-    v01 = flat[i00 + 1]
-    v10 = flat[i00 + n1]
-    v11 = flat[i00 + n1 + 1]
-    return (
-        v00 * (1 - f0) * (1 - f1)
-        + v01 * (1 - f0) * f1
-        + v10 * f0 * (1 - f1)
-        + v11 * f0 * f1
-    )
+    for k, (off, weights) in enumerate(corners):
+        term = tmp if k else out
+        np.take(flat[off:], base, out=term, mode="clip")
+        for w in weights:
+            np.multiply(term, w, out=term)
+        if k:
+            out += term
+    return out
 
 
 def _batched_LF(prob: ControlProblem, states: np.ndarray, t: float):
@@ -231,15 +252,6 @@ def _batched_LF(prob: ControlProblem, states: np.ndarray, t: float):
     F = np.broadcast_to(F, xb.shape)
     L = np.broadcast_to(L, shape + (U.shape[0],))
     return L, F
-
-
-def _hamiltonians(prob: ControlProblem, states: np.ndarray, grads, t: float) -> np.ndarray:
-    """L + p . f per state and grid control, with p[d] = grads[d] over the states."""
-    L, F = _batched_LF(prob, states, t)
-    h = L.copy()
-    for d in range(prob.dim_x):
-        h += grads[d][..., None] * F[..., d]
-    return h
 
 
 def pre_hamiltonian(prob: ControlProblem, x, u, p, t: float = 0.0) -> float:
@@ -259,7 +271,10 @@ def min_hamiltonian(prob: ControlProblem, x, p, t: float = 0.0) -> tuple[float, 
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    vals = _hamiltonians(prob, x, p, t)
+    L, F = _batched_LF(prob, x, t)
+    vals = L.copy()
+    for d in range(prob.dim_x):
+        vals += p[d] * F[..., d]
     idx = int(np.argmin(vals))
     return float(vals[idx]), idx
 
@@ -275,6 +290,12 @@ def _stability_guard(spec: DiscountSpec, dt: float) -> None:
             warnings.warn(msg)
         else:
             raise DomainError(msg)
+
+
+def _sl_step(prob: ControlProblem, axes: tuple, states: np.ndarray, t: float, dt: float) -> tuple:
+    """L dt and the stencil at the feet x + f dt, over (grid shape, control count)."""
+    L, F = _batched_LF(prob, states, t)
+    return L * dt, _stencil(axes, states[..., None, :] + F * dt, prob.boundary)
 
 
 def _march(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple[ValueField, Policy]:
@@ -294,12 +315,16 @@ def _march(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple
         values[nt] = 0.0
     else:
         values[nt] = np.asarray(cfg.terminal_value(states), dtype=float)
+    cand = np.empty(shape + (len(prob.controls),))
+    tmp = np.empty_like(cand)
+    fixed = _sl_step(prob, axes, states, 0.0, cfg.dt) if prob.time_invariant else None
     for i in range(nt - 1, -1, -1):
         t = times[i]
-        L, F = _batched_LF(prob, states, t)
-        feet = states[..., None, :] + F * cfg.dt
-        shifted = _interp_grid(axes, values[i + 1], feet, prob.boundary)
-        cand = L * cfg.dt + disc * shifted
+        l_dt, stencil = fixed or _sl_step(prob, axes, states, t, cfg.dt)
+        # cand = L dt + disc * V(feet), rounded as that expression would be
+        _apply_stencil(stencil, values[i + 1], cand, tmp)
+        np.multiply(cand, disc, out=cand)
+        np.add(l_dt, cand, out=cand)
         best = np.argmin(cand, axis=-1)
         policy[i] = best
         slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
@@ -310,11 +335,6 @@ def _march(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple
         ValueField(times=times, axes=axes, values=values),
         Policy(controls=policy, control_grid=prob.controls, times=times[:nt], axes=axes),
     )
-
-
-def _min_h_field(prob: ControlProblem, axes: tuple, states: np.ndarray, v_slice: np.ndarray, t: float) -> np.ndarray:
-    grads = np.gradient(v_slice, *axes) if len(axes) > 1 else [np.gradient(v_slice, axes[0])]
-    return _hamiltonians(prob, states, grads, t).min(axis=-1)
 
 
 def _residual_field(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, fld: ValueField) -> np.ndarray:
@@ -330,11 +350,20 @@ def _residual_field(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig,
     amp = amplitude(spec.alpha)
     order = FracOrder(1.0 - spec.alpha)
     res = np.full_like(fld.values, np.nan)
+    h = np.empty(states.shape[:-1] + (len(prob.controls),))
+    tmp = np.empty_like(h)
+    fixed = _batched_LF(prob, states, 0.0) if prob.time_invariant else None
     for i in range(cfg.window, nt):
         frac = rl_window_deriv(fld.values[i - cfg.window : i + 1], cfg.dt, order)
         v_t = (fld.values[i + 1] - fld.values[i]) / cfg.dt
-        min_h = _min_h_field(prob, axes, states, fld.values[i], fld.times[i])
-        res[i] = -spec.lam * amp * frac - v_t - min_h
+        L, F = fixed or _batched_LF(prob, states, fld.times[i])
+        grads = np.gradient(fld.values[i], *axes) if len(axes) > 1 else [np.gradient(fld.values[i], axes[0])]
+        # h = L + p . f over the grid controls, summed left to right
+        np.copyto(h, L)
+        for d in range(prob.dim_x):
+            np.multiply(grads[d][..., None], F[..., d], out=tmp)
+            h += tmp
+        res[i] = -spec.lam * amp * frac - v_t - h.min(axis=-1)
     return res
 
 

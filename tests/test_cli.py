@@ -84,6 +84,15 @@ class TestVerify:
         assert rows[0] == "t,s,product,delta,composed,residual"
         assert len(rows) == 4
 
+    def test_out_symlink_to_device_is_written_through(self, capsys, tmp_path):
+        link = tmp_path / "sink"
+        link.symlink_to(os.devnull)
+        code, out, _ = run(["verify", "--alpha", "0.5", "--out", str(link)], capsys)
+        assert code == 0
+        assert out == ""
+        assert link.is_symlink()
+        assert os.readlink(link) == os.devnull
+
     def test_identity_columns_consistent(self, capsys):
         code, out, _ = run(["verify", "--alpha", "0.7", "--lambda", "-0.5", "--s", "0.5"], capsys)
         assert code == 0
@@ -97,6 +106,17 @@ class TestVerify:
 
 
 FAST_SOLVE = ["--dt", "0.02", "--horizon", "1", "--nx", "33", "--window", "8", "--alpha", "0.8"]
+SOLVE_CSVS = ("value.csv", "policy.csv", "residual.csv")
+# frozen SHA-256 of the SOLVE_CSVS of `solve --problem lq1d FAST_SOLVE`
+LQ1D_GOLDEN = (
+    "be959f1bd64f4b6deaf80999ec05aa15c136c22e3a0e4f47c00f3c4d9e14a3bb",
+    "f92b3eaa813a58731e3d5a48a9758cfd0462440d98ce72bc59221ac661f27157",
+    "a47aa90979b052e838dce7a093b450b1dbedaa964b7ad9c013076faffe50774d",
+)
+
+
+def _digests(outdir):
+    return tuple(hashlib.sha256((outdir / name).read_bytes()).hexdigest() for name in SOLVE_CSVS)
 
 
 class TestSolve:
@@ -157,14 +177,7 @@ class TestSolve:
     @pytest.mark.parametrize(
         "argv, digests",
         [
-            (
-                ["--problem", "lq1d", *FAST_SOLVE],
-                (
-                    "be959f1bd64f4b6deaf80999ec05aa15c136c22e3a0e4f47c00f3c4d9e14a3bb",
-                    "f92b3eaa813a58731e3d5a48a9758cfd0462440d98ce72bc59221ac661f27157",
-                    "a47aa90979b052e838dce7a093b450b1dbedaa964b7ad9c013076faffe50774d",
-                ),
-            ),
+            (["--problem", "lq1d", *FAST_SOLVE], LQ1D_GOLDEN),
             (
                 # 2-D grid, every 3rd slice, residual warm-up rows skipped
                 ["--problem", "osc2d", "--dt", "0.02", "--horizon", "0.4", "--nx", "9", "--window", "8",
@@ -199,11 +212,24 @@ class TestSolve:
     )
     def test_golden_bytes(self, argv, digests, capsys, tmp_path):
         assert run(["solve", *argv, "--out", str(tmp_path)], capsys)[0] == 0
-        got = tuple(
-            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-            for name in ("value.csv", "policy.csv", "residual.csv")
-        )
-        assert got == digests
+        assert _digests(tmp_path) == digests
+
+    def test_existing_files_are_replaced(self, capsys, tmp_path):
+        # a longer value.csv must leave no stale tail, and a symlinked
+        # policy.csv becomes a regular file without touching its target
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "value.csv").write_bytes(b"9" * 100_000)
+        target = tmp_path / "elsewhere.csv"
+        target.write_bytes(b"keep\n")
+        (out / "policy.csv").symlink_to(target)
+        argv = ["solve", "--problem", "lq1d", *FAST_SOLVE, "--out", str(out)]
+        assert run(argv, capsys)[0] == 0
+        assert _digests(out) == LQ1D_GOLDEN
+        assert not (out / "policy.csv").is_symlink()
+        assert target.read_bytes() == b"keep\n"
+        assert run(argv, capsys)[0] == 0
+        assert _digests(out) == LQ1D_GOLDEN
 
     def test_bad_x0_exits_2_before_writing(self, capsys, tmp_path):
         code, _, err = run(["solve", "--problem", "osc2d", "--x0", "1", "--out", str(tmp_path)], capsys)

@@ -193,6 +193,49 @@ class TestSolveFractional:
         assert r_coarse / r_fine >= 1.5
 
 
+class TestTimeInvariance:
+    CFG = SolverConfig(dt=0.02, horizon=0.5, nx=17, window=10)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    @pytest.mark.parametrize("name", catalog.PROBLEM_NAMES)
+    def test_declaration_changes_no_bit(self, name, alpha):
+        # covers both boundary modes (bounded1d extrapolates) and the 2-D stencil
+        prob = catalog.get(name).problem
+        assert prob.time_invariant
+        cfg = dataclasses.replace(self.CFG, nx=9) if prob.dim_x == 2 else self.CFG
+        spec = DiscountSpec(alpha, -0.5)
+        fld_i, pol_i = solve_fractional(prob, spec, cfg)
+        fld_v, pol_v = solve_fractional(dataclasses.replace(prob, time_invariant=False), spec, cfg)
+        assert np.array_equal(fld_i.values, fld_v.values)
+        assert np.array_equal(pol_i.controls, pol_v.controls)
+        assert np.array_equal(fld_i.residual, fld_v.residual, equal_nan=True)
+
+    def test_time_reaches_undeclared_problem(self):
+        # frozen state, L = t, no discount: V(x, 0) = sum_i dt * (i dt)
+        prob = ControlProblem(
+            1, lambda x, u, t: np.zeros_like(x), lambda x, u, t: np.full(x.shape[:-1], t), [[0.0]], [(-1, 1)]
+        )
+        assert not prob.time_invariant
+        fld, _ = solve_fractional(prob, DiscountSpec(1.0, 0.0), self.CFG)
+        nt = self.CFG.steps
+        assert np.allclose(fld.values[0], self.CFG.dt**2 * nt * (nt - 1) / 2, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("invariant", [True, False])
+    def test_dynamics_calls(self, invariant):
+        calls = []
+
+        def dynamics(x, u, t):
+            calls.append(t)
+            return u
+
+        prob = dataclasses.replace(LQ, dynamics=dynamics, time_invariant=invariant)
+        solve_fractional(prob, DiscountSpec(0.8, -0.5), self.CFG)
+        if invariant:
+            assert len(calls) <= 2
+        else:
+            assert len(calls) >= self.CFG.steps
+
+
 class TestScalingAndConsistency:
     def test_cost_scaling_scales_value(self):
         spec = DiscountSpec(1.0, -0.5)
