@@ -7,7 +7,8 @@ Subcommands:
   cost    forward-evaluate the discounted cost of a feedback law or policy file
 
 Exit codes: 0 success, 1 verification tolerance unmet, 2 usage or domain
-error, 3 numerical divergence (including state escape).
+error or an output file that cannot be written, 3 numerical divergence
+(including state escape).
 
 Flags override values from an optional key=value config file (--config);
 unknown config keys are errors.  The MLHJB_OUT environment variable selects
@@ -262,39 +263,45 @@ def _cmd_solve(args) -> int:
     x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
     if len(x0) != entry.problem.dim_x:
         raise DomainError(f"--x0 must have {entry.problem.dim_x} components for {entry.name}")
-    fld, pol = solve_fractional(entry.problem, spec, cfg)
+    box = entry.problem.box
+    if not np.all((box[:, 0] <= x0) & (x0 <= box[:, 1])):
+        raise DomainError(f"--x0 {','.join(map(str, x0))} lies outside the state box of {entry.name}")
+    nt = cfg.steps
+    value_idx = _slice_indices(nt + 1, args.stride)
+    policy_idx = _slice_indices(nt, args.stride)
+    kept = sorted(set(value_idx) | set(policy_idx))
+    where = dict(zip(kept, range(len(kept))))
+    fld, pol = solve_fractional(entry.problem, spec, cfg, slices=kept)
     outdir = args.out or os.environ.get(_ENV_OUT) or "."
     os.makedirs(outdir, exist_ok=True)
     axes = fld.axes
     xcols = ["x"] if len(axes) == 1 else ["x1", "x2"]
-    nt = cfg.steps
 
-    value_idx = _slice_indices(nt + 1, args.stride)
+    value_pos = [where[i] for i in value_idx]
     _write_field_csv(
         os.path.join(outdir, "value.csv"),
         ["t"] + xcols + ["V"],
         fld.times,
         axes,
-        value_idx,
-        lambda i: fld.values[i].reshape(-1, 1),
+        value_pos,
+        lambda k: fld.values[k].reshape(-1, 1),
     )
     ucols = ["u"] if pol.control_grid.shape[1] == 1 else [f"u{k+1}" for k in range(pol.control_grid.shape[1])]
     _write_field_csv(
         os.path.join(outdir, "policy.csv"),
         ["t"] + xcols + ucols,
-        fld.times,
+        pol.times,
         axes,
-        _slice_indices(nt, args.stride),
-        lambda i: pol.control_grid[pol.controls[i].ravel()],
+        [where[i] for i in policy_idx],
+        lambda k: pol.control_grid[pol.controls[k].ravel()],
     )
-    resid_idx = [i for i in value_idx if np.all(np.isfinite(fld.residual[i]))]
     _write_field_csv(
         os.path.join(outdir, "residual.csv"),
         ["t"] + xcols + ["residual"],
         fld.times,
         axes,
-        resid_idx,
-        lambda i: fld.residual[i].reshape(-1, 1),
+        [k for k in value_pos if np.all(np.isfinite(fld.residual[k]))],
+        lambda k: fld.residual[k].reshape(-1, 1),
     )
     print(f"V(x0,0) = {_fmt_line(fld.at(np.asarray(x0), 0))}")
     return EXIT_OK
@@ -398,7 +405,7 @@ def main(argv=None) -> int:
             return int(exc.code or 0)
     try:
         return _DISPATCH[args.command](args)
-    except (DomainError, ConfigError) as exc:
+    except (DomainError, ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, ConvergenceError, StateEscapeError) as exc:

@@ -26,6 +26,11 @@ likewise reuses one L, f and Hamiltonian buffer.  A problem declared
 builds once per solve; any other problem rebuilds at every step with that
 step's t.  Both give the same bits.
 
+The march keeps the last window + 2 slices in a ring and copies out only
+the time slices the caller asks for; the residual of a kept slice is
+computed as soon as its window is complete.  Memory then grows with the
+grid and the number of kept slices, not with the horizon.
+
 A solved Policy carries its own time and state grid; the forward rollout
 looks its control up at the nearest (t, x) node, lowest index on ties.
 """
@@ -33,6 +38,7 @@ looks its control up at the nearest (t, x) node, lowest index on ties.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -138,8 +144,10 @@ class SolverConfig:
 class ValueField:
     """Value function samples over (time, state grid), plus diagnostics.
 
-    ``residual`` holds the per-slice PDE residual filled in by
-    solve_fractional; rows without enough trailing history are NaN.
+    ``values[k]`` is the slice at ``times[k]``: every time step, or the
+    ones a solve was asked to keep.  ``residual`` holds the per-slice PDE
+    residual filled in by solve_fractional; rows without enough trailing
+    history are NaN.
     """
 
     times: np.ndarray
@@ -298,9 +306,59 @@ def _sl_step(prob: ControlProblem, axes: tuple, states: np.ndarray, t: float, dt
     return L * dt, _stencil(axes, states[..., None, :] + F * dt, prob.boundary)
 
 
-def _march(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple[ValueField, Policy]:
+def _kept(slices, nt: int) -> list:
+    """The step indices a solve returns: every one by default, else ``slices``."""
+    if slices is None:
+        return list(range(nt + 1))
+    kept = [operator.index(s) for s in slices]
+    if not kept or kept[0] < 0 or kept[-1] > nt or any(a >= b for a, b in zip(kept, kept[1:])):
+        raise DomainError(f"slices must be a non-empty increasing list of step indices in [0, {nt}]")
+    return kept
+
+
+def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, axes: tuple, states: np.ndarray):
+    """Function writing the PDE residual -lam A(a) D^(1-a) V - V_t - min H of one slice.
+
+    ``row(hist, t, out)`` takes the window + 2 slices from t - window dt to
+    t + dt, oldest first.  The order-(1-a) derivative is the windowed L1
+    form over the trailing cfg.window intervals up to t.
+    """
+    amp = amplitude(spec.alpha)
+    order = FracOrder(1.0 - spec.alpha)
+    h = np.empty(states.shape[:-1] + (len(prob.controls),))
+    tmp = np.empty_like(h)
+    fixed = _batched_LF(prob, states, 0.0) if prob.time_invariant else None
+
+    def row(hist: np.ndarray, t: float, out: np.ndarray) -> None:
+        frac = rl_window_deriv(hist[:-1], cfg.dt, order)
+        v_t = (hist[-1] - hist[-2]) / cfg.dt
+        L, F = fixed or _batched_LF(prob, states, t)
+        grads = np.gradient(hist[-2], *axes) if len(axes) > 1 else [np.gradient(hist[-2], axes[0])]
+        # h = L + p . f over the grid controls, summed left to right
+        np.copyto(h, L)
+        for d in range(prob.dim_x):
+            np.multiply(grads[d][..., None], F[..., d], out=tmp)
+            np.add(h, tmp, out=h)
+        out[...] = -spec.lam * amp * frac - v_t - h.min(axis=-1)
+
+    return row
+
+
+def _march(
+    prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, *, slices=None, residual: bool = False
+) -> tuple[ValueField, Policy]:
+    """March backward from the terminal slice, keeping only the ``slices`` steps.
+
+    Slices live in a ring of R = window + 2 (2 when no residual row has a
+    full window), each written at k and k + R of a 2R buffer, so the slices
+    from step i up to i + window + 1 are always one contiguous view.  With
+    ``residual`` the residual of each kept step window <= r < nt is computed
+    as soon as slice r - window exists; other rows are NaN.
+    """
     _stability_guard(spec, cfg.dt)
     nt = cfg.steps
+    kept = _kept(slices, nt)
+    where = dict(zip(kept, range(len(kept))))
     axes = _axes_for(prob, cfg.nx)
     states = _grid_states(axes)
     shape = states.shape[:-1]
@@ -309,62 +367,42 @@ def _march(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple
         disc = math.exp(spec.lam * cfg.dt)
     else:
         disc = float(kernel(spec, cfg.dt))
-    values = np.empty((nt + 1,) + shape)
-    policy = np.zeros((nt,) + shape, dtype=np.int32)
-    if cfg.terminal_value is None:
-        values[nt] = 0.0
-    else:
-        values[nt] = np.asarray(cfg.terminal_value(states), dtype=float)
+    ring_len = cfg.window + 2 if residual and cfg.window < nt else 2
+    ring = np.empty((2 * ring_len,) + shape)
+    values = np.empty((len(kept),) + shape)
+    policy = np.zeros((bisect_left(kept, nt),) + shape, dtype=np.int32)
+    res = np.full_like(values, np.nan) if residual else None
+    row = _residual_rows(prob, spec, cfg, axes, states) if residual else None
+    slice_i = np.zeros(shape) if cfg.terminal_value is None else np.asarray(cfg.terminal_value(states), dtype=float)
     cand = np.empty(shape + (len(prob.controls),))
     tmp = np.empty_like(cand)
     fixed = _sl_step(prob, axes, states, 0.0, cfg.dt) if prob.time_invariant else None
-    for i in range(nt - 1, -1, -1):
-        t = times[i]
-        l_dt, stencil = fixed or _sl_step(prob, axes, states, t, cfg.dt)
-        # cand = L dt + disc * V(feet), rounded as that expression would be
-        _apply_stencil(stencil, values[i + 1], cand, tmp)
-        np.multiply(cand, disc, out=cand)
-        np.add(l_dt, cand, out=cand)
-        best = np.argmin(cand, axis=-1)
-        policy[i] = best
-        slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
-        if not np.all(np.isfinite(slice_i)) or np.abs(slice_i).max() > _DIVERGENCE_LIMIT:
-            raise DivergenceError(f"value field diverged at t = {t:g}")
-        values[i] = slice_i
+    for i in range(nt, -1, -1):
+        if i < nt:
+            t = times[i]
+            l_dt, stencil = fixed or _sl_step(prob, axes, states, t, cfg.dt)
+            # cand = L dt + disc * V(feet), rounded as that expression would be
+            _apply_stencil(stencil, ring[(i + 1) % ring_len], cand, tmp)
+            np.multiply(cand, disc, out=cand)
+            np.add(l_dt, cand, out=cand)
+            best = np.argmin(cand, axis=-1)
+            slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
+            if not np.all(np.isfinite(slice_i)) or np.abs(slice_i).max() > _DIVERGENCE_LIMIT:
+                raise DivergenceError(f"value field diverged at t = {t:g}")
+            if i in where:
+                policy[where[i]] = best
+        k = i % ring_len
+        ring[k] = ring[k + ring_len] = slice_i
+        if i in where:
+            values[where[i]] = slice_i
+        r = i + cfg.window
+        if row and r < nt and r in where:
+            row(ring[k : k + ring_len], times[r], res[where[r]])
+    kept_times = times[kept]
     return (
-        ValueField(times=times, axes=axes, values=values),
-        Policy(controls=policy, control_grid=prob.controls, times=times[:nt], axes=axes),
+        ValueField(times=kept_times, axes=axes, values=values, residual=res),
+        Policy(controls=policy, control_grid=prob.controls, times=kept_times[: len(policy)], axes=axes),
     )
-
-
-def _residual_field(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, fld: ValueField) -> np.ndarray:
-    """PDE residual -lam A(a) D^(1-a) V - V_t - min H per time slice.
-
-    The order-(1-a) derivative is the windowed L1 form over the trailing
-    cfg.window intervals; slices without a full window or a forward
-    neighbour stay NaN.
-    """
-    nt = cfg.steps
-    axes = fld.axes
-    states = _grid_states(axes)
-    amp = amplitude(spec.alpha)
-    order = FracOrder(1.0 - spec.alpha)
-    res = np.full_like(fld.values, np.nan)
-    h = np.empty(states.shape[:-1] + (len(prob.controls),))
-    tmp = np.empty_like(h)
-    fixed = _batched_LF(prob, states, 0.0) if prob.time_invariant else None
-    for i in range(cfg.window, nt):
-        frac = rl_window_deriv(fld.values[i - cfg.window : i + 1], cfg.dt, order)
-        v_t = (fld.values[i + 1] - fld.values[i]) / cfg.dt
-        L, F = fixed or _batched_LF(prob, states, fld.times[i])
-        grads = np.gradient(fld.values[i], *axes) if len(axes) > 1 else [np.gradient(fld.values[i], axes[0])]
-        # h = L + p . f over the grid controls, summed left to right
-        np.copyto(h, L)
-        for d in range(prob.dim_x):
-            np.multiply(grads[d][..., None], F[..., d], out=tmp)
-            h += tmp
-        res[i] = -spec.lam * amp * frac - v_t - h.min(axis=-1)
-    return res
 
 
 def solve_classical(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple[ValueField, Policy]:
@@ -374,18 +412,26 @@ def solve_classical(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig)
     return _march(prob, spec, cfg)
 
 
-def solve_fractional(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig) -> tuple[ValueField, Policy]:
+def solve_fractional(
+    prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, *, slices=None
+) -> tuple[ValueField, Policy]:
     """Backward value iteration discounted by E_a(lam dt^a) per step.
 
     At alpha = 1 the update is exactly the classical one (E_1 = exp).  The
     returned ValueField carries the PDE residual diagnostic over the trailing
     L1 window.
+
+    ``slices`` (increasing step indices in [0, cfg.steps]) selects the time
+    slices returned; the default returns all cfg.steps + 1.  Given, the
+    ValueField holds those steps' times, values and residual rows in that
+    order, and the Policy those below cfg.steps, so ``time_index`` counts
+    kept slices.  The march then holds window + 2 slices besides the kept
+    ones, and the residual is computed only on kept rows; each kept number
+    has the same bits as in the full solve.
     """
     if cfg.window < 10:
         warnings.warn(f"memory window of {cfg.window} slices is short; residual diagnostics may be crude")
-    fld, pol = _march(prob, spec, cfg)
-    fld.residual = _residual_field(prob, spec, cfg, fld)
-    return fld, pol
+    return _march(prob, spec, cfg, slices=slices, residual=True)
 
 
 def _escape_bounds(prob: ControlProblem) -> np.ndarray:

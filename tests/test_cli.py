@@ -237,12 +237,51 @@ class TestSolve:
         assert "--x0 must have 2 components" in err
         assert list(tmp_path.glob("*.csv")) == []
 
+    @pytest.mark.parametrize(
+        "problem, x0",
+        [("lq1d", "-2.001"), ("lq1d", "2.001"), ("lq1d", "5"), ("lq1d", "nan"), ("osc2d", "1,2.5"), ("osc2d", "-3,0")],
+    )
+    def test_x0_outside_box_exits_2_before_writing(self, problem, x0, capsys, tmp_path):
+        code, _, err = run(["solve", "--problem", problem, "--x0=" + x0, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert "lies outside the state box" in err
+        assert list(tmp_path.glob("*.csv")) == []
+
+    @pytest.mark.parametrize("x0", ["-2", "2"])
+    def test_x0_on_box_edge_is_accepted(self, x0, capsys, tmp_path):
+        code, out, _ = run(["solve", "--problem", "lq1d", *FAST_SOLVE, "--x0=" + x0, "--out", str(tmp_path)], capsys)
+        assert code == 0
+        assert out.startswith("V(x0,0) = ")
+
     def test_stride_thins_slices(self, capsys, tmp_path):
         code, _, _ = run(["solve", *FAST_SOLVE, "--stride", "25", "--out", str(tmp_path)], capsys)
         assert code == 0
         with open(tmp_path / "value.csv", newline="") as fh:
             tcol = {row[0] for row in list(csv.reader(fh))[1:]}
         assert tcol == {"0", "0.5", "1"}
+
+
+class TestOutputErrors:
+    # an output path that cannot be written is a usage error, not "tolerance unmet"
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ml", "--z", "1"],
+            ["verify", "--alpha", "0.5", "--s", "0.5"],
+            ["cost", "--problem", "zero1d"],
+            ["solve", "--problem", "zero1d", "--horizon", "0.1"],
+        ],
+        ids=["ml", "verify", "cost", "solve"],
+    )
+    def test_directory_as_output_exits_2(self, argv, capsys, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        if argv[0] == "solve":
+            (out / "policy.csv").mkdir()
+        code, _, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 class TestConfigFile:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,18 +12,22 @@ from mlhjb import (
     DiscountSpec,
     DivergenceError,
     DomainError,
+    FracOrder,
     Policy,
     SolverConfig,
     StateEscapeError,
+    amplitude,
     catalog,
     evaluate_cost,
     kernel,
     lqr_oracle,
     min_hamiltonian,
     pre_hamiltonian,
+    rl_window_deriv,
     solve_classical,
     solve_fractional,
 )
+from mlhjb import hjb
 
 LQ = catalog.get("lq1d").problem
 COARSE = SolverConfig(dt=0.01, horizon=5.0, nx=65)
@@ -234,6 +239,86 @@ class TestTimeInvariance:
             assert len(calls) <= 2
         else:
             assert len(calls) >= self.CFG.steps
+
+
+def _unstreamed(prob, spec, cfg):
+    """Every value slice, policy slice and residual row, marched without a ring."""
+    nt, dt = cfg.steps, cfg.dt
+    axes = tuple(np.linspace(lo, hi, cfg.nx) for lo, hi in prob.box)
+    states = hjb._grid_states(axes)
+    shape = states.shape[:-1]
+    disc = math.exp(spec.lam * dt) if spec.alpha == 1.0 else float(kernel(spec, dt))
+    values = np.zeros((nt + 1,) + shape)
+    policy = np.zeros((nt,) + shape, dtype=np.int32)
+    l_dt, stencil = hjb._sl_step(prob, axes, states, 0.0, dt)
+    cand, tmp = np.empty(l_dt.shape), np.empty(l_dt.shape)
+    for i in range(nt - 1, -1, -1):
+        hjb._apply_stencil(stencil, values[i + 1], cand, tmp)
+        cand = l_dt + disc * cand
+        policy[i] = np.argmin(cand, axis=-1)
+        values[i] = np.take_along_axis(cand, policy[i][..., None].astype(np.intp), axis=-1)[..., 0]
+    res = np.full_like(values, np.nan)
+    L, F = hjb._batched_LF(prob, states, 0.0)
+    amp, order = amplitude(spec.alpha), FracOrder(1.0 - spec.alpha)
+    for i in range(cfg.window, nt):
+        frac = rl_window_deriv(values[i - cfg.window : i + 1], dt, order)
+        grads = np.gradient(values[i], *axes) if len(axes) > 1 else [np.gradient(values[i], axes[0])]
+        h = L.copy()
+        for d in range(prob.dim_x):
+            h += grads[d][..., None] * F[..., d]
+        res[i] = -spec.lam * amp * frac - (values[i + 1] - values[i]) / dt - h.min(axis=-1)
+    return values, policy, res
+
+
+class TestStreaming:
+    CFG = SolverConfig(dt=0.02, horizon=0.5, nx=17, window=10)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    @pytest.mark.parametrize("name", ["lq1d", "bounded1d", "osc2d"])
+    def test_subset_equals_full(self, name, alpha):
+        # bounded1d extrapolates at the boundary, osc2d runs the 2-D stencil
+        prob = catalog.get(name).problem
+        cfg = dataclasses.replace(self.CFG, nx=9) if prob.dim_x == 2 else self.CFG
+        spec = DiscountSpec(alpha, -0.5)
+        nt = cfg.steps
+        fld, pol = solve_fractional(prob, spec, cfg)
+        values, policy, res = _unstreamed(prob, spec, cfg)
+        assert np.array_equal(fld.times, np.arange(nt + 1) * cfg.dt)
+        assert np.array_equal(pol.times, fld.times[:nt])
+        assert np.array_equal(fld.values, values)
+        assert np.array_equal(pol.controls, policy)
+        assert np.array_equal(fld.residual, res, equal_nan=True)
+        # a warm-up row, residual rows, and the last policy and value rows
+        idx = [3, cfg.window, 17, nt - 1, nt]
+        sub, sub_pol = solve_fractional(prob, spec, cfg, slices=idx)
+        assert np.array_equal(sub.times, fld.times[idx])
+        assert np.array_equal(sub.values, fld.values[idx])
+        assert np.array_equal(sub.residual, fld.residual[idx], equal_nan=True)
+        assert np.isnan(sub.residual[[0, -1]]).all() and np.isfinite(sub.residual[1:-1]).all()
+        assert np.array_equal(sub_pol.times, fld.times[idx[:-1]])
+        assert np.array_equal(sub_pol.controls, pol.controls[idx[:-1]])
+
+    @pytest.mark.parametrize("slices", [[], [3, 2], [2, 2], [-1, 3], [25, 26]])
+    def test_bad_slices(self, slices):
+        with pytest.raises(DomainError, match="slices must"):
+            solve_fractional(LQ, DiscountSpec(0.8, -0.5), self.CFG, slices=slices)
+
+    def test_memory_does_not_grow_with_horizon(self):
+        def peak(horizon, keep):
+            cfg = SolverConfig(dt=0.005, horizon=horizon, nx=257, window=64)
+            nt = cfg.steps
+            tracemalloc.start()
+            try:
+                solve_fractional(LQ, DiscountSpec(0.8, -0.5), cfg, slices=[0, nt // 2, nt] if keep else None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        kept = [peak(h, True) for h in (1.0, 4.0)]
+        full = [peak(h, False) for h in (1.0, 4.0)]
+        # 600 more steps: a field of 257 nodes each is 1.2 MB more per array
+        assert abs(kept[1] - kept[0]) < 0.5e6
+        assert full[1] - full[0] > 2 * 600 * 257 * 8
 
 
 class TestScalingAndConsistency:
