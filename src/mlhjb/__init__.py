@@ -6,75 +6,62 @@ L1 fractional derivatives, and grid solvers for discounted
 Hamilton-Jacobi-Bellman problems with either exponential or
 Mittag-Leffler per-step discounting.  The ``mlhjb`` console script fronts
 the same functionality.
+
+Importing the package loads none of its modules.  Each name in ``__all__``
+imports the module that defines it on first access (``from mlhjb import
+delta_ml`` loads ``mlhjb.defect``), so a command line tool pays only for
+the modules it uses.
 """
 
-from . import catalog
-from .defect import QuadratureConfig, delta_ml, inner_f, semigroup_residual, small_s_bound
-from .errors import (
-    ConfigError,
-    ConvergenceError,
-    DivergenceError,
-    DomainError,
-    InsufficientHistoryError,
-    MLHJBError,
-    StateEscapeError,
-)
-from .fracderiv import (
-    FracOrder,
-    amplitude,
-    l1_frac_deriv,
-    rl_window_deriv,
-)
-from .hjb import (
-    ControlProblem,
-    Policy,
-    SolverConfig,
-    ValueField,
-    evaluate_cost,
-    lqr_oracle,
-    min_hamiltonian,
-    pre_hamiltonian,
-    solve_classical,
-    solve_fractional,
-)
-from .specfun import DiscountSpec, SeriesControl, gamma, kernel, kernel_deriv, ml_one, ml_two
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "MLHJBError",
-    "DomainError",
-    "ConfigError",
-    "ConvergenceError",
-    "DivergenceError",
-    "InsufficientHistoryError",
-    "StateEscapeError",
-    "DiscountSpec",
-    "SeriesControl",
-    "gamma",
-    "ml_one",
-    "ml_two",
-    "kernel",
-    "kernel_deriv",
-    "QuadratureConfig",
-    "inner_f",
-    "delta_ml",
-    "semigroup_residual",
-    "small_s_bound",
-    "FracOrder",
-    "amplitude",
-    "l1_frac_deriv",
-    "rl_window_deriv",
-    "ControlProblem",
-    "SolverConfig",
-    "ValueField",
-    "Policy",
-    "pre_hamiltonian",
-    "min_hamiltonian",
-    "solve_classical",
-    "solve_fractional",
-    "evaluate_cost",
-    "lqr_oracle",
-    "catalog",
-]
+# public name -> the module that defines it
+_SOURCES = {
+    **dict.fromkeys(
+        (
+            "MLHJBError",
+            "DomainError",
+            "ConfigError",
+            "ConvergenceError",
+            "DivergenceError",
+            "InsufficientHistoryError",
+            "StateEscapeError",
+        ),
+        "errors",
+    ),
+    **dict.fromkeys(("DiscountSpec", "SeriesControl", "gamma", "ml_one", "ml_two", "kernel", "kernel_deriv"), "specfun"),
+    **dict.fromkeys(("QuadratureConfig", "inner_f", "delta_ml", "semigroup_residual", "small_s_bound"), "defect"),
+    **dict.fromkeys(("FracOrder", "amplitude", "l1_frac_deriv", "rl_window_deriv"), "fracderiv"),
+    **dict.fromkeys(
+        (
+            "ControlProblem",
+            "SolverConfig",
+            "ValueField",
+            "Policy",
+            "pre_hamiltonian",
+            "min_hamiltonian",
+            "solve_classical",
+            "solve_fractional",
+            "evaluate_cost",
+            "lqr_oracle",
+        ),
+        "hjb",
+    ),
+}
+
+__all__ = ["__version__", *_SOURCES, "catalog"]
+
+
+def __getattr__(name: str):
+    if name == "catalog":
+        return importlib.import_module(".catalog", __name__)
+    try:
+        source = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+

@@ -10,11 +10,14 @@ callables are numpy-vectorized over leading batch dimensions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
-from .hjb import ControlProblem
+
+if TYPE_CHECKING:
+    from .hjb import ControlProblem
 
 __all__ = ["CatalogEntry", "PROBLEM_NAMES", "get", "LQ1D_COEFFS"]
 
@@ -34,8 +37,16 @@ class CatalogEntry:
     summary: str
 
 
+def _problem(**fields) -> ControlProblem:
+    # the solver module is imported when a problem is first built, so that
+    # reading PROBLEM_NAMES (the CLI parser does) does not load it
+    from .hjb import ControlProblem
+
+    return ControlProblem(**fields)
+
+
 def _lq1d() -> CatalogEntry:
-    prob = ControlProblem(
+    prob = _problem(
         dim_x=1,
         dynamics=lambda x, u, t: u,
         running_cost=lambda x, u, t: 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2),
@@ -57,7 +68,7 @@ def _lq1d() -> CatalogEntry:
 
 
 def _bounded1d() -> CatalogEntry:
-    prob = ControlProblem(
+    prob = _problem(
         dim_x=1,
         dynamics=lambda x, u, t: u,
         running_cost=lambda x, u, t: 0.5 * x[..., 0] ** 2 + 0.1 * np.abs(u[..., 0]),
@@ -82,7 +93,7 @@ def _osc2d() -> CatalogEntry:
     def f(x, u, t):
         return np.stack([x[..., 1], -x[..., 0] + u[..., 0]], axis=-1)
 
-    prob = ControlProblem(
+    prob = _problem(
         dim_x=2,
         dynamics=f,
         running_cost=lambda x, u, t: 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 + u[..., 0] ** 2),
@@ -104,9 +115,9 @@ def _osc2d() -> CatalogEntry:
 
 
 def _static1d() -> CatalogEntry:
-    prob = ControlProblem(
+    prob = _problem(
         dim_x=1,
-        dynamics=lambda x, u, t: np.zeros_like(x),
+        dynamics=lambda x, u, t: np.zeros(x.shape),
         running_cost=lambda x, u, t: np.ones(x.shape[:-1]),
         control_grid=[[0.0]],
         state_box=[(-1.0, 1.0)],
@@ -126,9 +137,9 @@ def _static1d() -> CatalogEntry:
 
 
 def _zero1d() -> CatalogEntry:
-    prob = ControlProblem(
+    prob = _problem(
         dim_x=1,
-        dynamics=lambda x, u, t: np.zeros_like(x),
+        dynamics=lambda x, u, t: np.zeros(x.shape),
         running_cost=lambda x, u, t: np.zeros(x.shape[:-1]),
         control_grid=[[0.0]],
         state_box=[(-1.0, 1.0)],

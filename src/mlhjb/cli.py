@@ -13,13 +13,20 @@ error or an output file that cannot be written, 3 numerical divergence
 Flags override values from an optional key=value config file (--config);
 unknown config keys are errors.  The MLHJB_OUT environment variable selects
 the default output directory for `solve` when --out is absent.
+
+Importing this module and building the parser load only the package's
+``errors``, ``specfun`` and ``catalog`` modules (the last for its problem
+names, without the solvers).  A command imports the rest on first use:
+``verify`` the defect quadrature (and ``csv``), ``solve`` and ``cost`` the
+solvers (``hjb``, which loads ``fracderiv``).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
+import importlib
+import io
 import itertools
 import math
 import os
@@ -28,8 +35,6 @@ import sys
 
 import numpy as np
 
-from . import catalog
-from .defect import QuadratureConfig, delta_ml
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -37,7 +42,6 @@ from .errors import (
     DomainError,
     StateEscapeError,
 )
-from .hjb import Policy, SolverConfig, evaluate_cost, lqr_oracle, solve_fractional
 from .specfun import DiscountSpec, SeriesControl, kernel, ml_one, ml_two
 
 __all__ = ["main", "console_main", "build_parser"]
@@ -48,6 +52,25 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
 _ENV_OUT = "MLHJB_OUT"
+
+# Cross-module entry points whose modules are imported on first use.  Each is
+# a module attribute (resolved by __getattr__), and the commands call the one
+# bound at call time (_resolve), so a wrapper bound in its place runs.
+_DEFERRED = {"delta_ml": ".defect", "evaluate_cost": ".hjb", "solve_fractional": ".hjb"}
+
+
+def __getattr__(name: str):
+    try:
+        source = _DEFERRED[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(source, __package__), name)
+    return value
+
+
+def _resolve(name: str):
+    """The global ``name`` as bound now, imported first if nothing bound it yet."""
+    return globals()[name] if name in globals() else __getattr__(name)
 
 
 def _fmt_line(x: float) -> str:
@@ -79,6 +102,8 @@ def _add_shared(sp: argparse.ArgumentParser, lam_default: float = -0.5) -> None:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    from . import catalog
+
     parser = argparse.ArgumentParser(
         prog="mlhjb",
         description="Optimal control with a Mittag-Leffler discount kernel.",
@@ -181,10 +206,11 @@ def _create(path: str):
 
 
 def _emit_line(line: str, out: str | None) -> None:
-    print(line)
+    # --out first: a run that cannot write it exits 2 with nothing on stdout
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(line + "\n")
+    print(line)
 
 
 def _cmd_ml(args) -> int:
@@ -200,6 +226,11 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    import csv
+
+    from .defect import QuadratureConfig
+
+    delta_ml = _resolve("delta_ml")
     spec = DiscountSpec(args.alpha, args.lam)
     quad = QuadratureConfig(panels=args.panels, scheme=args.scheme)
     if not args.s:
@@ -252,6 +283,9 @@ def _write_field_csv(path: str, header: list[str], times, axes, indices, columns
 
 
 def _cmd_solve(args) -> int:
+    from . import catalog
+    from .hjb import SolverConfig
+
     entry = catalog.get(args.problem)
     spec = DiscountSpec(args.alpha, args.lam)
     cfg = SolverConfig(
@@ -271,7 +305,7 @@ def _cmd_solve(args) -> int:
     policy_idx = _slice_indices(nt, args.stride)
     kept = sorted(set(value_idx) | set(policy_idx))
     where = dict(zip(kept, range(len(kept))))
-    fld, pol = solve_fractional(entry.problem, spec, cfg, slices=kept)
+    fld, pol = _resolve("solve_fractional")(entry.problem, spec, cfg, slices=kept)
     outdir = args.out or os.environ.get(_ENV_OUT) or "."
     os.makedirs(outdir, exist_ok=True)
     axes = fld.axes
@@ -307,12 +341,36 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_policy(path: str, dim_x: int) -> Policy:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read policy file {path!r}: {exc}")
+# ASCII characters other than "\n" at which str.splitlines() also ends a line
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+
+
+def _policy_rows(path: str, text: str, dim_x: int) -> np.ndarray:
+    """The data rows of a policy file's ``text``, checked against its header.
+
+    Plain ASCII lines ending in "\n" are parsed in C by np.loadtxt, which
+    converts a cell to the value float() gives or rejects it.  Its result
+    stands when every line gave one row as wide as a valid header; any
+    other text (blank lines, which loadtxt skips; cells such as "1_0", which
+    only float() reads; other line ends) goes through the line checks below.
+    """
+    head, _, body = text.partition("\n")
+    header = head.split(",")
+    if (
+        len(header) >= dim_x + 2
+        and header[0] == "t"
+        and body[:1] not in ("", "\n")  # blank lines only: loadtxt finds no row and warns
+        and text.isascii()
+        and not any(c in text for c in _OTHER_BREAKS)
+    ):
+        try:
+            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if data.shape == (body.count("\n") + (not body.endswith("\n")), len(header)):
+                return data
+    lines = text.splitlines()
     if len(lines) < 2:
         raise ConfigError(f"policy file {path!r} has no data rows")
     header = lines[0].split(",")
@@ -323,11 +381,21 @@ def _read_policy(path: str, dim_x: int) -> Policy:
     if len(widths) > 1:
         raise ConfigError(f"policy file {path!r} has ragged rows")
     try:
-        # one split of the text and one conversion in C; numpy parses each
-        # cell as float() does, -0, nan and inf included
-        data = np.array(",".join(lines[1:]).split(","), dtype=float).reshape(len(lines) - 1, len(header))
+        # numpy parses each cell as float() does, -0, nan and inf included
+        return np.array(",".join(lines[1:]).split(","), dtype=float).reshape(len(lines) - 1, len(header))
     except ValueError:
         raise ConfigError(f"policy file {path!r} contains non-numeric cells")
+
+
+def _read_policy(path: str, dim_x: int):
+    from .hjb import Policy
+
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read policy file {path!r}: {exc}")
+    data = _policy_rows(path, text, dim_x)
     tvals = np.unique(data[:, 0])
     axes = [np.unique(data[:, 1 + d]) for d in range(dim_x)]
     shape = (len(tvals),) + tuple(len(ax) for ax in axes)
@@ -346,6 +414,9 @@ def _read_policy(path: str, dim_x: int) -> Policy:
 
 
 def _cmd_cost(args) -> int:
+    from . import catalog
+    from .hjb import SolverConfig, lqr_oracle
+
     entry = catalog.get(args.problem)
     spec = DiscountSpec(args.alpha, args.lam)
     cfg = SolverConfig(
@@ -368,7 +439,7 @@ def _cmd_cost(args) -> int:
     else:
         du = entry.problem.controls.shape[1]
         law = lambda x, t: np.zeros(du)
-    j = evaluate_cost(entry.problem, spec, law, np.asarray(x0), cfg)
+    j = _resolve("evaluate_cost")(entry.problem, spec, law, np.asarray(x0), cfg)
     _emit_line(_fmt_line(j), args.out)
     return EXIT_OK
 

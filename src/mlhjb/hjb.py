@@ -434,11 +434,12 @@ def solve_fractional(
     return _march(prob, spec, cfg, slices=slices, residual=True)
 
 
-def _escape_bounds(prob: ControlProblem) -> np.ndarray:
+def _escape_bounds(prob: ControlProblem) -> tuple[list, list]:
+    """Per-axis (lower, upper) escape limits: the state box inflated about its center."""
     box = prob.box
     center = 0.5 * (box[:, 0] + box[:, 1])
     half = 0.5 * (box[:, 1] - box[:, 0])
-    return np.stack([center - _ESCAPE_INFLATION * half, center + _ESCAPE_INFLATION * half], axis=1)
+    return (center - _ESCAPE_INFLATION * half).tolist(), (center + _ESCAPE_INFLATION * half).tolist()
 
 
 def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: SolverConfig) -> float:
@@ -448,8 +449,16 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     kernel(spec, t) * L along the trajectory with trapezoid weights up to
     cfg.horizon.  ``law`` is either a callable (state, time) -> control or a
     Policy, looked up on its own grid at the nearest (t, x) node.
+
+    The state is carried as Python floats; numpy arrays are built only to
+    call ``law`` and the dynamics.  The law is called once per RK4 stage:
+    the control at each new state serves both its running cost and the
+    first stage of the next step, so a rollout of n steps calls it 4n + 1
+    times.  A ``time_invariant`` problem's running cost is evaluated once,
+    over the whole trajectory at t = 0; any other problem's once per step
+    with that step's t.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
     box = prob.box
     if x.shape != (prob.dim_x,):
         raise DomainError(f"x0 must have {prob.dim_x} components")
@@ -464,28 +473,46 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
         weights = np.exp(spec.lam * times)
     else:
         weights = np.asarray(kernel(spec, times), dtype=float)
-    bounds = _escape_bounds(prob)
+    lo, hi = _escape_bounds(prob)
+    dynamics = prob.dynamics
+    invariant = prob.time_invariant
 
-    def f_at(xq: np.ndarray, t: float) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(law(xq, t), dtype=float))
-        return np.atleast_1d(np.asarray(prob.dynamics(xq, u, t), dtype=float))
+    def control(xs: list, t: float) -> tuple:
+        xq = np.array(xs)
+        return xq, np.array(law(xq, t), dtype=float, ndmin=1)
 
-    run = np.empty(nt + 1)
-    u = np.atleast_1d(np.asarray(law(x, 0.0), dtype=float))
-    run[0] = float(np.asarray(prob.running_cost(x, u, 0.0)))
+    def slope(xq: np.ndarray, u: np.ndarray, t: float) -> list:
+        return np.array(dynamics(xq, u, t), dtype=float, ndmin=1).tolist()
+
+    # the stage states and the RK4 combination keep numpy's operation order
+    half = 0.5 * dt
+    t_all = times.tolist()
+    x = x.tolist()
+    xq, u = control(x, 0.0)
+    states, controls = [x], [u]
+    run = [] if invariant else [float(np.asarray(prob.running_cost(xq, u, 0.0)))]
     for i in range(nt):
-        t = times[i]
-        k1 = f_at(x, t)
-        k2 = f_at(x + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = f_at(x + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = f_at(x + dt * k3, t + dt)
-        x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if np.any(x < bounds[:, 0]) or np.any(x > bounds[:, 1]):
-            raise StateEscapeError(f"trajectory escaped the inflated state box at t = {times[i + 1]:g}")
-        t2 = times[i + 1]
-        u = np.atleast_1d(np.asarray(law(x, t2), dtype=float))
-        run[i + 1] = float(np.asarray(prob.running_cost(x, u, t2)))
-    y = weights * run
+        t = t_all[i]
+        th = t + half
+        k1 = slope(xq, u, t)
+        k2 = slope(*control([a + half * b for a, b in zip(x, k1)], th), th)
+        k3 = slope(*control([a + half * b for a, b in zip(x, k2)], th), th)
+        k4 = slope(*control([a + dt * b for a, b in zip(x, k3)], t + dt), t + dt)
+        x = [a + dt * (b + 2.0 * c + 2.0 * d + e) / 6.0 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+        t1 = t_all[i + 1]
+        for v, a, b in zip(x, lo, hi):
+            if v < a or v > b:  # NaN passes
+                raise StateEscapeError(f"trajectory escaped the inflated state box at t = {t1:g}")
+        xq, u = control(x, t1)
+        if invariant:
+            states.append(x)
+            controls.append(u)
+        else:
+            run.append(float(np.asarray(prob.running_cost(xq, u, t1))))
+    if invariant:
+        # one call over the trajectory, broadcast as the march broadcasts L
+        run = np.broadcast_to(np.asarray(prob.running_cost(np.array(states), np.array(controls), 0.0), dtype=float), nt + 1)
+    y = weights * np.asarray(run)
     return float(dt * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1]))
 
 

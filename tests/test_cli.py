@@ -278,8 +278,9 @@ class TestOutputErrors:
         out.mkdir()
         if argv[0] == "solve":
             (out / "policy.csv").mkdir()
-        code, _, err = run([*argv, "--out", str(out)], capsys)
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
         assert code == 2
+        assert stdout == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
 
@@ -409,8 +410,11 @@ class TestCost:
             ("t,x,u\n0,-2,0.1\n0,2\n", "ragged rows"),
             ("t,x,u\n0,-2,0.1\n0,2,0.1,7\n", "ragged rows"),
             ("t,x,u\n0,-2,0.1\n0,2,abc\n", "non-numeric"),
+            ("t,x,u\n0,-2,0.1\n\n0,2,0.1\n", "ragged rows"),
+            ("t,x,u\n0,-2,0.1\n0,2,0.1\n\n", "ragged rows"),
+            ("t,x,u\n0,-2,0.1\x0c\n0,2,0.1\n", "ragged rows"),
         ],
-        ids=["all-short", "all-long", "short-row", "long-row", "non-numeric"],
+        ids=["all-short", "all-long", "short-row", "long-row", "non-numeric", "blank-line", "blank-last", "form-feed"],
     )
     def test_policy_row_errors_exit_2(self, text, message, capsys, tmp_path):
         path = tmp_path / "policy.csv"
@@ -426,6 +430,16 @@ class TestCost:
         got = cli._read_policy(str(path), 1).control_grid[:, 0]
         want = np.array([float(c) for c in cells])
         assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_policy_cells_parse_in_c_as_float(self, tmp_path):
+        # no cell here needs float()'s own reader, so np.loadtxt parses them all
+        cells = ["-0", "0", "1e-300", "4.9e-324", "-2.5e3", "+.5", "5.", " 7 ", "\t-1", "nan", "-inf", "Infinity", "1E+2"]
+        path = tmp_path / "policy.csv"
+        path.write_text("t,x,u\n" + "".join(f"0,{k},{c}\n" for k, c in enumerate(cells)))
+        got = cli._read_policy(str(path), 1).control_grid[:, 0]
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_header_only_policy_exits_2(self, capsys, tmp_path):
@@ -471,3 +485,43 @@ class TestParser:
     )
     def test_removed_flag_exits_2(self, argv, capsys):
         assert cli.main(argv) == 2
+
+
+# modules a command should not load, where it matters for start-up time
+_HEAVY = ("mlhjb.hjb", "mlhjb.catalog", "mlhjb.fracderiv", "mlhjb.defect", "numpy.polynomial", "csv")
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv, absent",
+        [
+            ([], _HEAVY),
+            (["ml", "--z", "1"], ("mlhjb.hjb", "mlhjb.fracderiv", "mlhjb.defect", "numpy.polynomial", "csv")),
+            (["verify", "--alpha", "0.5", "--s", "0.5"], ("mlhjb.hjb", "mlhjb.fracderiv")),
+            (["cost", "--problem", "zero1d"], ("mlhjb.defect", "numpy.polynomial", "csv")),
+        ],
+        ids=["import", "ml", "verify", "cost"],
+    )
+    def test_command_loads_only_its_modules(self, argv, absent):
+        script = (
+            "import sys\n"
+            "from mlhjb import cli\n"
+            f"assert not {argv!r} or cli.main({argv!r}) == 0\n"
+            f"print(*(m for m in {_HEAVY!r} if m in sys.modules))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert res.returncode == 0, res.stderr
+        loaded = res.stdout.splitlines()[-1].split()
+        assert not set(loaded) & set(absent)
+
+    def test_package_names_resolve(self):
+        import mlhjb
+
+        for name in mlhjb.__all__:
+            assert getattr(mlhjb, name) is not None, name
+        assert mlhjb.evaluate_cost is mlhjb.hjb.evaluate_cost
+        assert mlhjb.catalog.get("zero1d").name == "zero1d"
+        with pytest.raises(AttributeError):
+            mlhjb.no_such_name

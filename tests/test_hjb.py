@@ -408,6 +408,120 @@ class TestEvaluateCost:
         assert costs[(0.005, 33)] == pytest.approx(costs[(0.01, 33)], rel=1e-2)
 
 
+def _reference_rollout(prob, spec, law, x0, cfg):
+    """The array-valued RK4 rollout: five law calls per step, one running cost per step."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    if isinstance(law, Policy):
+        law = law.control
+    nt, dt = cfg.steps, cfg.dt
+    times = np.arange(nt + 1) * dt
+    weights = np.exp(spec.lam * times) if spec.alpha == 1.0 else np.asarray(kernel(spec, times), dtype=float)
+    box = prob.box
+    center, half = 0.5 * (box[:, 0] + box[:, 1]), 0.5 * (box[:, 1] - box[:, 0])
+    bounds = np.stack([center - 1.5 * half, center + 1.5 * half], axis=1)
+
+    def f_at(xq, t):
+        u = np.atleast_1d(np.asarray(law(xq, t), dtype=float))
+        return np.atleast_1d(np.asarray(prob.dynamics(xq, u, t), dtype=float))
+
+    run = np.empty(nt + 1)
+    u = np.atleast_1d(np.asarray(law(x, 0.0), dtype=float))
+    run[0] = float(np.asarray(prob.running_cost(x, u, 0.0)))
+    for i in range(nt):
+        t = times[i]
+        k1 = f_at(x, t)
+        k2 = f_at(x + 0.5 * dt * k1, t + 0.5 * dt)
+        k3 = f_at(x + 0.5 * dt * k2, t + 0.5 * dt)
+        k4 = f_at(x + dt * k3, t + dt)
+        x = x + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+        if np.any(x < bounds[:, 0]) or np.any(x > bounds[:, 1]):
+            raise StateEscapeError(f"trajectory escaped the inflated state box at t = {times[i + 1]:g}")
+        u = np.atleast_1d(np.asarray(law(x, times[i + 1]), dtype=float))
+        run[i + 1] = float(np.asarray(prob.running_cost(x, u, times[i + 1])))
+    y = weights * run
+    return float(dt * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1]))
+
+
+# a time-varying saturated feedback on the first state component, and on both for osc2d
+_LAWS = {
+    1: lambda x, t: np.clip(np.array([-0.9 * x[0] + 0.2 * math.sin(3.0 * t)]), -1.0, 1.0),
+    2: lambda x, t: np.clip(np.array([-0.6 * x[0] - 0.8 * x[1] + 0.1 * t]), -1.0, 1.0),
+}
+
+
+def _random_policy(prob, rng, horizon):
+    times = np.linspace(0.0, horizon, 7)
+    axes = tuple(np.linspace(lo, hi, 9) for lo, hi in prob.box)
+    controls = rng.integers(0, len(prob.controls), size=(len(times),) + (9,) * prob.dim_x)
+    return Policy(controls=controls, control_grid=prob.controls, times=times, axes=axes)
+
+
+class TestRollout:
+    CFG = SolverConfig(dt=0.01, horizon=2.0, nx=9)
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0])
+    @pytest.mark.parametrize("kind", ["callable", "policy"])
+    @pytest.mark.parametrize("name", ["lq1d", "bounded1d", "osc2d", "static1d"])
+    def test_equals_array_rollout(self, name, kind, alpha):
+        entry = catalog.get(name)
+        prob = entry.problem
+        if kind == "policy":
+            law = _random_policy(prob, np.random.default_rng(7), self.CFG.horizon)
+        else:
+            law = _LAWS[prob.dim_x]
+        spec = DiscountSpec(alpha, -0.5)
+        x0 = np.array([0.6, -0.4][: prob.dim_x])
+        assert evaluate_cost(prob, spec, law, x0, self.CFG) == _reference_rollout(prob, spec, law, x0, self.CFG)
+
+    def test_undeclared_problem_gets_each_step_time(self):
+        # frozen state, L = t, no discount: the trapezoid sum of t over [0, T]
+        seen = []
+
+        def cost(x, u, t):
+            seen.append(t)
+            return np.full(x.shape[:-1], t)
+
+        prob = ControlProblem(1, lambda x, u, t: np.zeros_like(x), cost, [[0.0]], [(-1, 1)])
+        spec = DiscountSpec(1.0, 0.0)
+        law = lambda x, t: np.array([0.0])
+        j = evaluate_cost(prob, spec, law, np.array([0.0]), self.CFG)
+        assert seen == (np.arange(self.CFG.steps + 1) * self.CFG.dt).tolist()
+        assert j == _reference_rollout(prob, spec, law, np.array([0.0]), self.CFG)
+        assert j == pytest.approx(0.5 * self.CFG.horizon**2, rel=1e-12)
+
+    def test_declared_problem_costs_the_trajectory_once(self):
+        calls = []
+
+        def cost(x, u, t):
+            calls.append((x.shape, t))
+            return 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2)
+
+        prob = dataclasses.replace(LQ, running_cost=cost)
+        evaluate_cost(prob, DiscountSpec(0.8, -0.5), _LAWS[1], np.array([1.0]), self.CFG)
+        assert calls == [((self.CFG.steps + 1, 1), 0.0)]
+
+    def test_law_called_once_per_stage(self):
+        calls = []
+
+        def law(x, t):
+            calls.append(t)
+            return np.array([-x[0]])
+
+        evaluate_cost(LQ, DiscountSpec(0.8, -0.5), law, np.array([1.0]), self.CFG)
+        assert len(calls) == 4 * self.CFG.steps + 1
+
+    def test_escape_time_matches_array_rollout(self):
+        spec = DiscountSpec(1.0, -0.5)
+        law = lambda x, t: np.array([2.5])
+        with pytest.raises(StateEscapeError) as want:
+            _reference_rollout(LQ, spec, law, np.array([1.0]), self.CFG)
+        with pytest.raises(StateEscapeError) as got:
+            evaluate_cost(LQ, spec, law, np.array([1.0]), self.CFG)
+        assert str(got.value) == str(want.value)
+        # x = 1 + 2.5 t first passes the inflated bound 3 after t = 0.8
+        assert str(got.value).endswith("at t = 0.81")
+
+
 class TestPolicy:
     GRID = np.array([[-1.0], [0.0], [1.0]])
 
