@@ -32,7 +32,7 @@ _SOURCES = {
         "errors",
     ),
     **dict.fromkeys(("DiscountSpec", "SeriesControl", "gamma", "ml_one", "ml_two", "kernel", "kernel_deriv"), "specfun"),
-    **dict.fromkeys(("QuadratureConfig", "inner_f", "delta_ml", "semigroup_residual", "small_s_bound"), "defect"),
+    **dict.fromkeys(("QuadratureConfig", "inner_f", "delta_ml", "semigroup_residual"), "defect"),
     **dict.fromkeys(("FracOrder", "amplitude", "l1_frac_deriv", "rl_window_deriv"), "fracderiv"),
     **dict.fromkeys(
         (
@@ -40,8 +40,6 @@ _SOURCES = {
             "SolverConfig",
             "ValueField",
             "Policy",
-            "pre_hamiltonian",
-            "min_hamiltonian",
             "solve_classical",
             "solve_fractional",
             "evaluate_cost",

@@ -13,10 +13,9 @@ integral,
 Both integrals carry integrable endpoint singularities: sigma^(a-1) and
 tau^(a-1) at the lower ends, (w + s - sigma)^(-a) at sigma = s once w -> 0,
 and a (t - tau)^(1-a) derivative blow-up of F at tau = t.  Each singular
-endpoint is flattened by a power-law change of variable x = L y^r on the
-sub-interval selected by ``singularity_split``; the transformed integrands
-are then handled by composite Gauss-Legendre panels or by adaptive Simpson
-refinement, depending on the configured scheme.
+endpoint is flattened by a power-law change of variable x = L y^r on its
+half of the interval; the transformed integrands are then summed with
+composite Gauss-Legendre panels.
 
 Distances to the singular endpoints are carried explicitly (never rebuilt by
 subtracting nearly equal floats), which keeps the kernels finite all the way
@@ -32,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .specfun import DiscountSpec, kernel, kernel_deriv, ml_two
 
 __all__ = [
@@ -40,32 +39,24 @@ __all__ = [
     "inner_f",
     "delta_ml",
     "semigroup_residual",
-    "small_s_bound",
 ]
 
-_SCHEMES = ("gauss_legendre", "adaptive_simpson")
 _GL_ORDER_OUTER = 6  # Gauss-Legendre nodes per panel, outer integral
 _GL_ORDER_INNER = 8  # higher order inside F, whose nodes are reused across all w
 _GRADE_TARGET = 5.0  # smoothness exponent aimed for by the power substitutions
 _GRADE_CAP = 400
+_SPLIT = 0.5  # each singular endpoint is graded on its own half of the interval
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Panel count, panel rule, and singular sub-interval fraction."""
+    """Gauss-Legendre panels per graded sub-interval."""
 
     panels: int = 8
-    scheme: str = "gauss_legendre"
-    singularity_split: float = 0.5
 
     def __post_init__(self) -> None:
         if not (isinstance(self.panels, int) and self.panels >= 4):
             raise DomainError(f"panels must be an integer >= 4, got {self.panels!r}")
-        if self.scheme not in _SCHEMES:
-            raise DomainError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
-        s = self.singularity_split
-        if not (isinstance(s, (int, float)) and 0.0 < s < 1.0):
-            raise DomainError(f"singularity_split must lie strictly in (0, 1), got {s!r}")
 
 
 _DEFAULT_QUAD = QuadratureConfig()
@@ -117,11 +108,10 @@ def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
         F(w) = sum g_lo_j (w + s - sig_lo_j)^(-a) + sum g_hi_j (w + x_hi_j)^(-a).
     """
     a = spec.alpha
-    split = q.singularity_split
     r_lo = _grade_exponent(a)
     r_hi = _grade_exponent(1.0 - a)
-    sig_lo, w_lo = _graded_nodes(split * s, q.panels, r_lo, _GL_ORDER_INNER)
-    x_hi, w_hi = _graded_nodes((1.0 - split) * s, q.panels, r_hi, _GL_ORDER_INNER)
+    sig_lo, w_lo = _graded_nodes(_SPLIT * s, q.panels, r_lo, _GL_ORDER_INNER)
+    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * s, q.panels, r_hi, _GL_ORDER_INNER)
     inv_gamma = 1.0 / math.gamma(1.0 - a)
     g_lo = w_lo * kernel_deriv(spec, sig_lo) * inv_gamma
     g_hi = w_hi * kernel_deriv(spec, s - x_hi) * inv_gamma
@@ -134,86 +124,6 @@ def _inner_apply(blocks, s: float, alpha: float, w: np.ndarray) -> np.ndarray:
     k_lo = (w[:, None] + (s - sig_lo)[None, :]) ** (-alpha)
     k_hi = (w[:, None] + x_hi[None, :]) ** (-alpha)
     return k_lo @ g_lo + k_hi @ g_hi
-
-
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_rounds: int = 48) -> float:
-    """Adaptive Simpson quadrature with batched midpoint evaluation.
-
-    ``f`` must accept an ndarray of abscissae.  Active segments are refined
-    level-synchronously so each round issues one vectorised call.
-    """
-    if b <= a:
-        return 0.0
-    xs = np.array([a, 0.5 * (a + b), b])
-    fa, fm, fb = f(xs)
-    h = b - a
-    whole = h / 6.0 * (fa + 4.0 * fm + fb)
-    segs = [(a, b, fa, fm, fb, whole, tol)]
-    total = 0.0
-    for _ in range(max_rounds):
-        if not segs:
-            return total
-        mids = np.empty(2 * len(segs))
-        for i, (sa, sb, _, _, _, _, _) in enumerate(segs):
-            sm = 0.5 * (sa + sb)
-            mids[2 * i] = 0.5 * (sa + sm)
-            mids[2 * i + 1] = 0.5 * (sm + sb)
-        fmids = f(mids)
-        nxt = []
-        for i, (sa, sb, sfa, sfm, sfb, swhole, stol) in enumerate(segs):
-            sm = 0.5 * (sa + sb)
-            flm = fmids[2 * i]
-            frm = fmids[2 * i + 1]
-            hh = sb - sa
-            left = hh / 12.0 * (sfa + 4.0 * flm + sfm)
-            right = hh / 12.0 * (sfm + 4.0 * frm + sfb)
-            err = (left + right - swhole) / 15.0
-            if abs(err) <= stol or hh <= 1e-14 * (b - a):
-                total += left + right + err
-            else:
-                nxt.append((sa, sm, sfa, flm, sfm, left, 0.5 * stol))
-                nxt.append((sm, sb, sfm, frm, sfb, right, 0.5 * stol))
-        if len(nxt) > 20000:
-            raise ConvergenceError("adaptive Simpson refinement exploded; integrand too rough")
-        segs = nxt
-    raise ConvergenceError("adaptive Simpson refinement did not converge")
-
-
-def _simpson_tol(q: QuadratureConfig) -> float:
-    # More panels buys a tighter budget, mirroring the Gauss-Legendre knob.
-    return 1e-8 * (8.0 / q.panels) ** 2
-
-
-def _inner_f_simpson(spec: DiscountSpec, w: float, s: float, q: QuadratureConfig, tol: float) -> float:
-    a = spec.alpha
-    split = q.singularity_split
-    inv_gamma = 1.0 / math.gamma(1.0 - a)
-
-    r_lo = _grade_exponent(a)
-    len_lo = split * s
-
-    def f_lo(y):
-        sig = len_lo * y**r_lo
-        jac = (len_lo * r_lo) * y ** (r_lo - 1)
-        vals = np.zeros_like(y)
-        pos = sig > 0.0
-        if np.any(pos):
-            vals[pos] = (w + s - sig[pos]) ** (-a) * kernel_deriv(spec, sig[pos]) * jac[pos]
-        return vals * inv_gamma
-
-    r_hi = _grade_exponent(1.0 - a)
-    len_hi = (1.0 - split) * s
-
-    def f_hi(y):
-        x = len_hi * y**r_hi
-        jac = (len_hi * r_hi) * y ** (r_hi - 1)
-        vals = np.zeros_like(y)
-        pos = jac > 0.0
-        if np.any(pos):
-            vals[pos] = (w + x[pos]) ** (-a) * kernel_deriv(spec, s - x[pos]) * jac[pos]
-        return vals * inv_gamma
-
-    return _adaptive_simpson(f_lo, 0.0, 1.0, tol) + _adaptive_simpson(f_hi, 0.0, 1.0, tol)
 
 
 def inner_f(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None = None) -> float:
@@ -229,8 +139,6 @@ def inner_f(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None =
     t, s = _validate_ts(t, s)
     if s == 0.0 or spec.lam == 0.0:
         return 0.0
-    if q.scheme == "adaptive_simpson":
-        return _inner_f_simpson(spec, t, s, q, _simpson_tol(q))
     blocks = _inner_blocks(spec, s, q)
     return float(_inner_apply(blocks, s, spec.alpha, np.array([t]))[0])
 
@@ -248,42 +156,9 @@ def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None 
     if s == 0.0 or spec.lam == 0.0 or spec.alpha == 1.0:
         return 0.0
     a = spec.alpha
-    if q.scheme == "adaptive_simpson":
-        tol = _simpson_tol(q)
-        inner_tol = 0.1 * tol
-
-        def outer_body(tau: np.ndarray) -> np.ndarray:
-            out = np.zeros_like(tau)
-            for i, tv in enumerate(tau):
-                if tv <= 0.0 or tv >= t:
-                    continue
-                fw = _inner_f_simpson(spec, t - tv, s, q, inner_tol)
-                out[i] = tv ** (a - 1.0) * ml_two(a, a, spec.lam * tv**a) * fw
-            return out
-
-        split = q.singularity_split
-        r_lo = _grade_exponent(a)
-        len_lo = split * t
-
-        def f_lo(y):
-            tau = len_lo * y**r_lo
-            jac = (len_lo * r_lo) * y ** (r_lo - 1)
-            return outer_body(tau) * jac
-
-        r_hi = _grade_exponent(2.0 - a)
-        len_hi = (1.0 - split) * t
-
-        def f_hi(y):
-            x = len_hi * y**r_hi
-            jac = (len_hi * r_hi) * y ** (r_hi - 1)
-            return outer_body(t - x) * jac
-
-        return _adaptive_simpson(f_lo, 0.0, 1.0, tol) + _adaptive_simpson(f_hi, 0.0, 1.0, tol)
-
     blocks = _inner_blocks(spec, s, q)
-    split = q.singularity_split
-    tau_lo, w_lo = _graded_nodes(split * t, q.panels, _grade_exponent(a))
-    x_hi, w_hi = _graded_nodes((1.0 - split) * t, q.panels, _grade_exponent(2.0 - a))
+    tau_lo, w_lo = _graded_nodes(_SPLIT * t, q.panels, _grade_exponent(a))
+    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * t, q.panels, _grade_exponent(2.0 - a))
     tau_hi = t - x_hi
     body_lo = tau_lo ** (a - 1.0) * ml_two(a, a, spec.lam * tau_lo**a)
     body_hi = tau_hi ** (a - 1.0) * ml_two(a, a, spec.lam * tau_hi**a)
@@ -299,23 +174,3 @@ def semigroup_residual(spec: DiscountSpec, t: float, s: float, q: QuadratureConf
     t, s = _validate_ts(t, s)
     prod = float(kernel(spec, t)) * float(kernel(spec, s))
     return prod - delta_ml(spec, t, s, q) - float(kernel(spec, t + s))
-
-
-def small_s_bound(
-    spec: DiscountSpec, t: float, s_values, q: QuadratureConfig | None = None
-) -> list[tuple[float, float]]:
-    """Table of (s, |Delta(t, s)|) for positive, strictly monotone s values.
-
-    For 0 < alpha < 1 the tabulated values vanish like s^alpha as s -> 0:
-    |Delta(t, s)| ~ |lam| E_a(lam t^a) s^a / Gamma(1 + a), the first-order
-    term of E_a(lam s^a) - 1 multiplied by kernel(t).
-    """
-    svals = [float(s) for s in s_values]
-    if any(not math.isfinite(s) or s <= 0.0 for s in svals):
-        raise DomainError("s_values must be positive and finite")
-    if len(svals) > 1:
-        ascending = all(b > a for a, b in zip(svals, svals[1:]))
-        descending = all(b < a for a, b in zip(svals, svals[1:]))
-        if not (ascending or descending):
-            raise DomainError("s_values must be strictly monotone")
-    return [(s, abs(delta_ml(spec, t, s, q))) for s in svals]

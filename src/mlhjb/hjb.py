@@ -55,8 +55,6 @@ __all__ = [
     "SolverConfig",
     "ValueField",
     "Policy",
-    "pre_hamiltonian",
-    "min_hamiltonian",
     "solve_classical",
     "solve_fractional",
     "evaluate_cost",
@@ -125,8 +123,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0.0):
             raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (isinstance(self.horizon, (int, float)) and self.horizon > 0.0):
-            raise DomainError(f"horizon must be positive, got {self.horizon!r}")
+        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon) and self.horizon > 0.0):
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon!r}")
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
             raise DomainError("horizon must be an integer number of dt steps")
@@ -260,31 +258,6 @@ def _batched_LF(prob: ControlProblem, states: np.ndarray, t: float):
     F = np.broadcast_to(F, xb.shape)
     L = np.broadcast_to(L, shape + (U.shape[0],))
     return L, F
-
-
-def pre_hamiltonian(prob: ControlProblem, x, u, p, t: float = 0.0) -> float:
-    """L(x, u, t) + p . f(x, u, t)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    f = np.atleast_1d(np.asarray(prob.dynamics(x, u, t), dtype=float))
-    cost = float(np.asarray(prob.running_cost(x, u, t)))
-    return cost + float(np.dot(p, f))
-
-
-def min_hamiltonian(prob: ControlProblem, x, p, t: float = 0.0) -> tuple[float, int]:
-    """Exhaustive minimum of the pre-Hamiltonian over the control grid.
-
-    Returns (value, argmin index); ties break to the lowest index.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    L, F = _batched_LF(prob, x, t)
-    vals = L.copy()
-    for d in range(prob.dim_x):
-        vals += p[d] * F[..., d]
-    idx = int(np.argmin(vals))
-    return float(vals[idx]), idx
 
 
 def _stability_guard(spec: DiscountSpec, dt: float) -> None:

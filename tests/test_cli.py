@@ -104,6 +104,56 @@ class TestVerify:
         code, _, _ = run(["verify", "--s", ","], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--alpha", "0.5"], "6186d33af9f0ffa783119302ab154a419c0e663daf505c8c12d677d8bf1dc44e"),
+            (
+                ["--alpha", "0.3", "--lambda=0.5", "--t", "0.7", "--s", "0.1,0.4,2.0", "--panels", "16",
+                 "--scheme", "gauss_legendre"],
+                "d9b8d6900b43d23ca9116d5fce2b4f9c8b2c3808b8cd7ce4440706bcdc0ff1a1",
+            ),
+            (
+                ["--alpha", "0.9", "--lambda=-2", "--t", "3", "--s", "0.01,0.5", "--panels", "4"],
+                "c66e1ebf2ebf60686a42d1330429df1b91a6257854922cc8328656a16f9bb54e",
+            ),
+            (
+                ["--alpha", "0.5", "--lambda=1.5", "--t", "0.2", "--s", "0.05,1.0", "--panels", "8",
+                 "--scheme", "gauss_legendre"],
+                "9bb92c7ef38a96358a754ba9625555a05a3f0e82a285a5622bdc08619b4fa7fb",
+            ),
+        ],
+        ids=["default", "a0.3-panels16", "a0.9-panels4", "a0.5-positive-lambda"],
+    )
+    def test_golden_bytes(self, argv, digest, capsys):
+        code, out, _ = run(["verify", *argv], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_scheme_flag_is_the_default(self, capsys):
+        plain = run(["verify", "--alpha", "0.5", "--s", "0.5"], capsys)
+        flagged = run(["verify", "--alpha", "0.5", "--s", "0.5", "--scheme", "gauss_legendre"], capsys)
+        assert flagged == plain
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--scheme", "adaptive_simpson"], None),
+            ([], "scheme = adaptive_simpson\n"),
+            ([], "scheme = midpoint\n"),
+        ],
+        ids=["flag-simpson", "config-simpson", "config-midpoint"],
+    )
+    def test_unknown_scheme_exits_2(self, argv, config, capsys, tmp_path):
+        if config is not None:
+            path = tmp_path / "verify.cfg"
+            path.write_text(config)
+            argv = [*argv, "--config", str(path)]
+        code, out, err = run(["verify", "--alpha", "0.5", "--s", "0.5", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
 
 FAST_SOLVE = ["--dt", "0.02", "--horizon", "1", "--nx", "33", "--window", "8", "--alpha", "0.8"]
 SOLVE_CSVS = ("value.csv", "policy.csv", "residual.csv")
@@ -283,6 +333,16 @@ class TestOutputErrors:
         assert stdout == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+class TestInfiniteHorizon:
+    # an infinite horizon has no step count; it is a domain error, not a crash
+    @pytest.mark.parametrize("command", ["solve", "cost"])
+    def test_exits_2(self, command, capsys, tmp_path):
+        code, out, err = run([command, "--problem", "zero1d", "--horizon", "inf", "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "horizon" in err
 
 
 class TestConfigFile:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mlhjb import (
-    ConvergenceError,
     DiscountSpec,
     DomainError,
     QuadratureConfig,
@@ -15,9 +14,7 @@ from mlhjb import (
     kernel,
     kernel_deriv,
     semigroup_residual,
-    small_s_bound,
 )
-from mlhjb.defect import _adaptive_simpson
 
 SPEC_HALF = DiscountSpec(0.5, -1.0)
 
@@ -31,16 +28,11 @@ INNER_1_05 = -0.2303461843572831354    # F(1) for s = 0.5, 40-digit quadrature
 class TestQuadratureConfig:
     def test_defaults(self):
         q = QuadratureConfig()
-        assert q.panels == 8 and q.scheme == "gauss_legendre"
+        assert q.panels == 8
 
     def test_validation(self):
         with pytest.raises(DomainError):
             QuadratureConfig(panels=3)
-        with pytest.raises(DomainError):
-            QuadratureConfig(scheme="midpoint")
-        for split in (0.0, 1.0, -0.2):
-            with pytest.raises(DomainError):
-                QuadratureConfig(singularity_split=split)
 
 
 class TestInnerF:
@@ -80,10 +72,6 @@ class TestInnerF:
         with pytest.raises(DomainError):
             inner_f(SPEC_HALF, 1.0, -0.5)
 
-    def test_simpson_agrees(self):
-        q = QuadratureConfig(scheme="adaptive_simpson")
-        assert inner_f(SPEC_HALF, 1.0, 0.5, q) == pytest.approx(INNER_1_05, abs=1e-7)
-
 
 class TestDeltaMl:
     def test_zero_s(self):
@@ -114,12 +102,6 @@ class TestDeltaMl:
         with pytest.raises(DomainError):
             delta_ml(SPEC_HALF, 1.0, -0.25)
 
-    def test_simpson_agrees_with_gauss(self):
-        q = QuadratureConfig(scheme="adaptive_simpson")
-        d_gl = delta_ml(SPEC_HALF, 1.0, 0.5)
-        d_si = delta_ml(SPEC_HALF, 1.0, 0.5, q)
-        assert abs(d_gl - d_si) <= 1e-6
-
 
 class TestSemigroupResidual:
     def test_alpha_one_machine_zero(self):
@@ -147,43 +129,3 @@ class TestSemigroupResidual:
             kernel(spec, t + s)
         )
         assert semigroup_residual(spec, t, s) == pytest.approx(manual, abs=1e-15)
-
-
-class TestSmallSBound:
-    def test_decreasing_column(self):
-        rows = small_s_bound(SPEC_HALF, 1.0, [0.1, 0.01, 0.001])
-        vals = [v for _, v in rows]
-        assert vals[0] > vals[1] > vals[2] > 0.0
-
-    def test_empty(self):
-        assert small_s_bound(SPEC_HALF, 1.0, []) == []
-
-    def test_alpha_one_zero_column(self):
-        rows = small_s_bound(DiscountSpec(1.0, -1.0), 1.0, [0.1, 0.01])
-        assert [v for _, v in rows] == [0.0, 0.0]
-
-    def test_ascending_also_accepted(self):
-        rows = small_s_bound(SPEC_HALF, 1.0, [0.001, 0.01, 0.1])
-        vals = [v for _, v in rows]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(DomainError):
-            small_s_bound(SPEC_HALF, 1.0, [0.1, 0.5, 0.2])
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            small_s_bound(SPEC_HALF, 1.0, [0.1, 0.0])
-
-
-class TestAdaptiveSimpson:
-    def test_smooth_integral(self):
-        val = _adaptive_simpson(np.sin, 0.0, math.pi, 1e-12)
-        assert val == pytest.approx(2.0, abs=1e-10)
-
-    def test_empty_interval(self):
-        assert _adaptive_simpson(np.sin, 1.0, 1.0, 1e-12) == 0.0
-
-    def test_rough_integrand_raises(self):
-        with pytest.raises(ConvergenceError):
-            _adaptive_simpson(lambda x: np.sin(1e7 * x * x), 0.0, 1.0, 1e-14)

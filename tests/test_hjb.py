@@ -21,8 +21,6 @@ from mlhjb import (
     evaluate_cost,
     kernel,
     lqr_oracle,
-    min_hamiltonian,
-    pre_hamiltonian,
     rl_window_deriv,
     solve_classical,
     solve_fractional,
@@ -63,6 +61,8 @@ class TestProblemTypes:
             SolverConfig(dt=0.1, horizon=1.0, nx=7)
         with pytest.raises(DomainError):
             SolverConfig(dt=0.1, horizon=1.0, nx=65, window=0)
+        with pytest.raises(DomainError):
+            SolverConfig(dt=0.1, horizon=math.inf, nx=65)
         assert SolverConfig(dt=0.1, horizon=1.0, nx=65).steps == 10
 
     def test_stability_guard(self):
@@ -70,46 +70,6 @@ class TestProblemTypes:
             solve_classical(LQ, DiscountSpec(1.0, -200.0), COARSE)
         with pytest.warns(UserWarning):
             solve_classical(LQ, DiscountSpec(1.0, 200.0), SolverConfig(dt=0.01, horizon=0.05, nx=65))
-
-
-class TestHamiltonian:
-    def test_zero_everything(self):
-        prob = ControlProblem(1, lambda x, u, t: np.zeros_like(x), lambda x, u, t: np.zeros(x.shape[:-1]), [[0.0]], [(-1, 1)])
-        assert pre_hamiltonian(prob, [0.3], [0.0], [2.0]) == 0.0
-
-    def test_scalar_example(self):
-        # L = (x^2+u^2)/2, f = u: at x=1, u=-1, p=2 -> 1 - 2 = -1
-        assert pre_hamiltonian(LQ, [1.0], [-1.0], [2.0]) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_costate_free(self):
-        assert pre_hamiltonian(LQ, [1.0], [-1.0], [0.0]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_min_linear(self):
-        prob = ControlProblem(
-            1,
-            lambda x, u, t: u,
-            lambda x, u, t: np.zeros(x.shape[:-1]),
-            [[-1.0], [0.0], [1.0]],
-            [(-1, 1)],
-        )
-        val, idx = min_hamiltonian(prob, [0.0], [2.0])
-        assert val == pytest.approx(-2.0) and idx == 0
-
-    def test_tie_breaks_low_index(self):
-        prob = ControlProblem(
-            1,
-            lambda x, u, t: np.zeros_like(x),
-            lambda x, u, t: np.ones(x.shape[:-1]),
-            [[-1.0], [0.0], [1.0]],
-            [(-1, 1)],
-        )
-        val, idx = min_hamiltonian(prob, [0.5], [0.0])
-        assert val == 1.0 and idx == 0
-
-    def test_quadratic_argmin_near_continuous(self):
-        val, idx = min_hamiltonian(LQ, [0.0], [2.0])
-        ustar = LQ.controls[idx, 0]
-        assert abs(ustar - (-2.0)) <= 0.5 * 0.05 + 1e-12
 
 
 class TestSolveClassical:
@@ -156,6 +116,21 @@ class TestSolveFractional:
         fld_f, pol_f = solve_fractional(LQ, DiscountSpec(1.0, -0.5), COARSE)
         assert np.array_equal(fld_f.values, fld_c.values)
         assert np.array_equal(pol_f.controls, pol_c.controls)
+
+    def test_tie_breaks_low_index(self):
+        # every control costs the same and moves nothing: the argmin ties everywhere
+        prob = ControlProblem(
+            1,
+            lambda x, u, t: np.zeros_like(x),
+            lambda x, u, t: np.ones(x.shape[:-1]),
+            [[-1.0], [0.0], [1.0]],
+            [(-1, 1)],
+        )
+        cfg = SolverConfig(dt=0.01, horizon=1.0, nx=9)
+        _, pol_c = solve_classical(prob, DiscountSpec(1.0, -0.5), cfg)
+        _, pol_f = solve_fractional(prob, DiscountSpec(0.7, -0.5), cfg)
+        assert np.unique(pol_c.controls).tolist() == [0]
+        assert np.unique(pol_f.controls).tolist() == [0]
 
     def test_zero_cost_any_alpha(self):
         prob = catalog.get("zero1d").problem
