@@ -31,7 +31,7 @@ _SOURCES = {
         ),
         "errors",
     ),
-    **dict.fromkeys(("DiscountSpec", "SeriesControl", "gamma", "ml_one", "ml_two", "kernel", "kernel_deriv"), "specfun"),
+    **dict.fromkeys(("DiscountSpec", "gamma", "ml_one", "ml_two", "kernel", "kernel_deriv"), "specfun"),
     **dict.fromkeys(("QuadratureConfig", "inner_f", "delta_ml", "semigroup_residual"), "defect"),
     **dict.fromkeys(("FracOrder", "amplitude", "l1_frac_deriv", "rl_window_deriv"), "fracderiv"),
     **dict.fromkeys(

@@ -3,8 +3,8 @@
 Five desk-scale problems: a scalar linear-quadratic regulator, a 1D problem
 with a tightly bounded control set, a 2D linear oscillator, and two
 degenerate reference problems (constant running cost with frozen dynamics,
-and zero running cost) used for closed-form checks.  Dynamics and cost
-callables are numpy-vectorized over leading batch dimensions.
+and zero running cost) used for closed-form checks.  Dynamics f(x, u) and
+cost L(x, u) are numpy-vectorized over leading batch dimensions.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class CatalogEntry:
     horizon: float
     nx: int
     window: int
-    summary: str
 
 
 def _problem(**fields) -> ControlProblem:
@@ -48,12 +47,11 @@ def _problem(**fields) -> ControlProblem:
 def _lq1d() -> CatalogEntry:
     prob = _problem(
         dim_x=1,
-        dynamics=lambda x, u, t: u,
-        running_cost=lambda x, u, t: 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2),
+        dynamics=lambda x, u: u,
+        running_cost=lambda x, u: 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2),
         control_grid=np.linspace(-2.5, 2.5, 101)[:, None],
         state_box=[(-2.0, 2.0)],
         boundary="clamp_gradient",
-        time_invariant=True,
     )
     return CatalogEntry(
         name="lq1d",
@@ -63,19 +61,17 @@ def _lq1d() -> CatalogEntry:
         horizon=20.0,
         nx=257,
         window=64,
-        summary="scalar LQR: dx = u dt, L = (x^2 + u^2)/2, box [-2, 2]",
     )
 
 
 def _bounded1d() -> CatalogEntry:
     prob = _problem(
         dim_x=1,
-        dynamics=lambda x, u, t: u,
-        running_cost=lambda x, u, t: 0.5 * x[..., 0] ** 2 + 0.1 * np.abs(u[..., 0]),
+        dynamics=lambda x, u: u,
+        running_cost=lambda x, u: 0.5 * x[..., 0] ** 2 + 0.1 * np.abs(u[..., 0]),
         control_grid=np.linspace(-1.0, 1.0, 21)[:, None],
         state_box=[(-2.0, 2.0)],
         boundary="extrapolate_linear",
-        time_invariant=True,
     )
     return CatalogEntry(
         name="bounded1d",
@@ -85,22 +81,20 @@ def _bounded1d() -> CatalogEntry:
         horizon=10.0,
         nx=129,
         window=64,
-        summary="1D with control capped at |u| <= 1 and an L1 effort penalty",
     )
 
 
 def _osc2d() -> CatalogEntry:
-    def f(x, u, t):
+    def f(x, u):
         return np.stack([x[..., 1], -x[..., 0] + u[..., 0]], axis=-1)
 
     prob = _problem(
         dim_x=2,
         dynamics=f,
-        running_cost=lambda x, u, t: 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 + u[..., 0] ** 2),
+        running_cost=lambda x, u: 0.5 * (x[..., 0] ** 2 + x[..., 1] ** 2 + u[..., 0] ** 2),
         control_grid=np.linspace(-1.0, 1.0, 9)[:, None],
         state_box=[(-2.0, 2.0), (-2.0, 2.0)],
         boundary="clamp_gradient",
-        time_invariant=True,
     )
     return CatalogEntry(
         name="osc2d",
@@ -110,19 +104,17 @@ def _osc2d() -> CatalogEntry:
         horizon=5.0,
         nx=65,
         window=64,
-        summary="2D forced oscillator: dx1 = x2 dt, dx2 = (-x1 + u) dt, quadratic cost",
     )
 
 
 def _static1d() -> CatalogEntry:
     prob = _problem(
         dim_x=1,
-        dynamics=lambda x, u, t: np.zeros(x.shape),
-        running_cost=lambda x, u, t: np.ones(x.shape[:-1]),
+        dynamics=lambda x, u: np.zeros(x.shape),
+        running_cost=lambda x, u: np.ones(x.shape[:-1]),
         control_grid=[[0.0]],
         state_box=[(-1.0, 1.0)],
         boundary="clamp_gradient",
-        time_invariant=True,
     )
     return CatalogEntry(
         name="static1d",
@@ -132,19 +124,17 @@ def _static1d() -> CatalogEntry:
         horizon=40.0,
         nx=9,
         window=64,
-        summary="frozen state with unit running cost; the cost equals the integrated kernel",
     )
 
 
 def _zero1d() -> CatalogEntry:
     prob = _problem(
         dim_x=1,
-        dynamics=lambda x, u, t: np.zeros(x.shape),
-        running_cost=lambda x, u, t: np.zeros(x.shape[:-1]),
+        dynamics=lambda x, u: np.zeros(x.shape),
+        running_cost=lambda x, u: np.zeros(x.shape[:-1]),
         control_grid=[[0.0]],
         state_box=[(-1.0, 1.0)],
         boundary="clamp_gradient",
-        time_invariant=True,
     )
     return CatalogEntry(
         name="zero1d",
@@ -154,7 +144,6 @@ def _zero1d() -> CatalogEntry:
         horizon=1.0,
         nx=9,
         window=64,
-        summary="zero running cost and frozen state; every value is exactly zero",
     )
 
 

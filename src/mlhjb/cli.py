@@ -42,7 +42,7 @@ from .errors import (
     DomainError,
     StateEscapeError,
 )
-from .specfun import DiscountSpec, SeriesControl, kernel, ml_one, ml_two
+from .specfun import DiscountSpec, kernel, ml_one, ml_two
 
 __all__ = ["main", "console_main", "build_parser"]
 
@@ -117,7 +117,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     ml = sub.add_parser("ml", help="evaluate E_a(z) or E_{a,b}(z) to 12 digits")
     ml.add_argument("--z", type=float, required=False, default=None, help="argument z")
     ml.add_argument("--beta", type=float, default=None, help="second parameter; omit for the one-parameter function")
-    ml.add_argument("--tol", type=float, default=None, help="relative tolerance of the series (default: 12 digits)")
     _add_shared(ml)
     subs["ml"] = ml
 
@@ -210,7 +209,7 @@ def _create(path: str):
 def _emit_line(line: str, out: str | None) -> None:
     # --out first: a run that cannot write it exits 2 with nothing on stdout
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with _create(out) as fh:
             fh.write(line + "\n")
     print(line)
 
@@ -218,11 +217,10 @@ def _emit_line(line: str, out: str | None) -> None:
 def _cmd_ml(args) -> int:
     if args.z is None:
         raise DomainError("--z is required")
-    control = SeriesControl(rel_tol=args.tol) if args.tol is not None else None
     if args.beta is None:
-        value = ml_one(args.alpha, args.z, control)
+        value = ml_one(args.alpha, args.z)
     else:
-        value = ml_two(args.alpha, args.beta, args.z, control)
+        value = ml_two(args.alpha, args.beta, args.z)
     _emit_line(_fmt_line(float(value)), args.out)
     return EXIT_OK
 
@@ -240,6 +238,8 @@ def _cmd_verify(args) -> int:
         raise ConfigError(f"scheme must be one of {_SCHEMES}, got {args.scheme!r}")
     if not args.s:
         raise DomainError("--s must list at least one value")
+    if not args.tol >= 0.0:
+        raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
     worst = 0.0
     for s in args.s:

@@ -2,29 +2,29 @@
 
 The classical solver marches the Bellman recursion
 
-    V(x, t) = min_u [ L(x, u, t) dt + e^(lam dt) V(x + f(x, u, t) dt, t + dt) ]
+    V(x, t) = min_u [ L(x, u) dt + e^(lam dt) V(x + f(x, u) dt, t + dt) ]
 
 backward from a terminal slice, evaluating the shifted value by multilinear
 interpolation (semi-Lagrangian).  The fractional solver replaces the
 per-step discount e^(lam dt) with the Mittag-Leffler kernel E_a(lam dt^a)
 and, as a diagnostic, evaluates the residual of the nonlocal PDE form
 
-    -lam A(a) D^(1-a) V - dV/dt - min_u H(x, u, dV/dx, t)
+    -lam A(a) D^(1-a) V - dV/dt - min_u H(x, u, dV/dx)
 
 per time slice with the windowed L1 derivative.  Control minimization is
 exhaustive over a finite control grid; ties break to the lowest index.
-Dynamics and running-cost callables must accept numpy arrays with leading
-batch dimensions (state shape (..., dim_x), control shape (..., dim_u)).
+Problems are autonomous: the discount kernel carries all time dependence,
+and dynamics and running cost are callables f(x, u), L(x, u) that accept
+numpy arrays with leading batch dimensions (state shape (..., dim_x),
+control shape (..., dim_u)).
 
-Each march step is built, then applied.  Building evaluates L and f on the
-(grid nodes, controls) batch and turns the feet x + f dt into an
-interpolation stencil: base node indices and the weights (1 - f), f per
-axis.  Applying it to a value slice is a gather, a multiply-add and an
-argmin, written into buffers allocated once per solve; the residual pass
-likewise reuses one L, f and Hamiltonian buffer.  A problem declared
-``time_invariant`` (dynamics and cost ignore t; every catalog problem)
-builds once per solve; any other problem rebuilds at every step with that
-step's t.  Both give the same bits.
+The march step is built once per solve, then applied at every step.
+Building evaluates L and f on the (grid nodes, controls) batch and turns
+the feet x + f dt into an interpolation stencil: base node indices and the
+weights (1 - f), f per axis.  Applying it to a value slice is a gather, a
+multiply-add and an argmin, written into buffers allocated once per solve;
+the residual pass likewise evaluates L and f once and reuses one
+Hamiltonian buffer.
 
 The march keeps the last window + 2 slices in a ring and copies out only
 the time slices the caller asks for; the residual of a kept slice is
@@ -68,12 +68,7 @@ _ESCAPE_INFLATION = 1.5
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Dynamics, running cost, control grid, and state box of one problem.
-
-    ``time_invariant`` declares that dynamics and running cost ignore their
-    time argument; the solvers then evaluate them once per pass, at t = 0,
-    instead of once per time step.
-    """
+    """Dynamics f(x, u), running cost L(x, u), control grid, and state box of one problem."""
 
     dim_x: int
     dynamics: Callable
@@ -81,7 +76,6 @@ class ControlProblem:
     control_grid: Sequence
     state_box: Sequence
     boundary: str = "clamp_gradient"
-    time_invariant: bool = False
 
     def __post_init__(self) -> None:
         if self.dim_x not in (1, 2):
@@ -118,7 +112,6 @@ class SolverConfig:
     horizon: float
     nx: int
     window: int = 64
-    terminal_value: Callable | None = None
 
     def __post_init__(self) -> None:
         if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0.0):
@@ -247,14 +240,14 @@ def _apply_stencil(stencil: tuple, values: np.ndarray, out: np.ndarray, tmp: np.
     return out
 
 
-def _batched_LF(prob: ControlProblem, states: np.ndarray, t: float):
+def _batched_LF(prob: ControlProblem, states: np.ndarray):
     """Running cost and velocity over (grid shape, control count) batches."""
     U = prob.controls
     shape = states.shape[:-1]
     xb = np.broadcast_to(states[..., None, :], shape + (U.shape[0], prob.dim_x))
     ub = np.broadcast_to(U, shape + U.shape)
-    F = np.asarray(prob.dynamics(xb, ub, t), dtype=float)
-    L = np.asarray(prob.running_cost(xb, ub, t), dtype=float)
+    F = np.asarray(prob.dynamics(xb, ub), dtype=float)
+    L = np.asarray(prob.running_cost(xb, ub), dtype=float)
     F = np.broadcast_to(F, xb.shape)
     L = np.broadcast_to(L, shape + (U.shape[0],))
     return L, F
@@ -273,9 +266,9 @@ def _stability_guard(spec: DiscountSpec, dt: float) -> None:
             raise DomainError(msg)
 
 
-def _sl_step(prob: ControlProblem, axes: tuple, states: np.ndarray, t: float, dt: float) -> tuple:
+def _sl_step(prob: ControlProblem, axes: tuple, states: np.ndarray, dt: float) -> tuple:
     """L dt and the stencil at the feet x + f dt, over (grid shape, control count)."""
-    L, F = _batched_LF(prob, states, t)
+    L, F = _batched_LF(prob, states)
     return L * dt, _stencil(axes, states[..., None, :] + F * dt, prob.boundary)
 
 
@@ -292,7 +285,7 @@ def _kept(slices, nt: int) -> list:
 def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, axes: tuple, states: np.ndarray):
     """Function writing the PDE residual -lam A(a) D^(1-a) V - V_t - min H of one slice.
 
-    ``row(hist, t, out)`` takes the window + 2 slices from t - window dt to
+    ``row(hist, out)`` takes the window + 2 slices from t - window dt to
     t + dt, oldest first.  The order-(1-a) derivative is the windowed L1
     form over the trailing cfg.window intervals up to t.
     """
@@ -300,12 +293,11 @@ def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, 
     order = FracOrder(1.0 - spec.alpha)
     h = np.empty(states.shape[:-1] + (len(prob.controls),))
     tmp = np.empty_like(h)
-    fixed = _batched_LF(prob, states, 0.0) if prob.time_invariant else None
+    L, F = _batched_LF(prob, states)
 
-    def row(hist: np.ndarray, t: float, out: np.ndarray) -> None:
+    def row(hist: np.ndarray, out: np.ndarray) -> None:
         frac = rl_window_deriv(hist[:-1], cfg.dt, order)
         v_t = (hist[-1] - hist[-2]) / cfg.dt
-        L, F = fixed or _batched_LF(prob, states, t)
         grads = np.gradient(hist[-2], *axes) if len(axes) > 1 else [np.gradient(hist[-2], axes[0])]
         # h = L + p . f over the grid controls, summed left to right
         np.copyto(h, L)
@@ -320,7 +312,7 @@ def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, 
 def _march(
     prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, *, slices=None, residual: bool = False
 ) -> tuple[ValueField, Policy]:
-    """March backward from the terminal slice, keeping only the ``slices`` steps.
+    """March backward from the zero terminal slice, keeping only the ``slices`` steps.
 
     Slices live in a ring of R = window + 2 (2 when no residual row has a
     full window), each written at k and k + R of a 2R buffer, so the slices
@@ -346,14 +338,12 @@ def _march(
     policy = np.zeros((bisect_left(kept, nt),) + shape, dtype=np.int32)
     res = np.full_like(values, np.nan) if residual else None
     row = _residual_rows(prob, spec, cfg, axes, states) if residual else None
-    slice_i = np.zeros(shape) if cfg.terminal_value is None else np.asarray(cfg.terminal_value(states), dtype=float)
+    slice_i = np.zeros(shape)
     cand = np.empty(shape + (len(prob.controls),))
     tmp = np.empty_like(cand)
-    fixed = _sl_step(prob, axes, states, 0.0, cfg.dt) if prob.time_invariant else None
+    l_dt, stencil = _sl_step(prob, axes, states, cfg.dt)
     for i in range(nt, -1, -1):
         if i < nt:
-            t = times[i]
-            l_dt, stencil = fixed or _sl_step(prob, axes, states, t, cfg.dt)
             # cand = L dt + disc * V(feet), rounded as that expression would be
             _apply_stencil(stencil, ring[(i + 1) % ring_len], cand, tmp)
             np.multiply(cand, disc, out=cand)
@@ -361,7 +351,7 @@ def _march(
             best = np.argmin(cand, axis=-1)
             slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
             if not np.all(np.isfinite(slice_i)) or np.abs(slice_i).max() > _DIVERGENCE_LIMIT:
-                raise DivergenceError(f"value field diverged at t = {t:g}")
+                raise DivergenceError(f"value field diverged at t = {times[i]:g}")
             if i in where:
                 policy[where[i]] = best
         k = i % ring_len
@@ -370,7 +360,7 @@ def _march(
             values[where[i]] = slice_i
         r = i + cfg.window
         if row and r < nt and r in where:
-            row(ring[k : k + ring_len], times[r], res[where[r]])
+            row(ring[k : k + ring_len], res[where[r]])
     kept_times = times[kept]
     return (
         ValueField(times=kept_times, axes=axes, values=values, residual=res),
@@ -427,9 +417,7 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     call ``law`` and the dynamics.  The law is called once per RK4 stage:
     the control at each new state serves both its running cost and the
     first stage of the next step, so a rollout of n steps calls it 4n + 1
-    times.  A ``time_invariant`` problem's running cost is evaluated once,
-    over the whole trajectory at t = 0; any other problem's once per step
-    with that step's t.
+    times.  The running cost is evaluated once, over the whole trajectory.
     """
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     box = prob.box
@@ -448,14 +436,13 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
         weights = np.asarray(kernel(spec, times), dtype=float)
     lo, hi = _escape_bounds(prob)
     dynamics = prob.dynamics
-    invariant = prob.time_invariant
 
     def control(xs: list, t: float) -> tuple:
         xq = np.array(xs)
         return xq, np.array(law(xq, t), dtype=float, ndmin=1)
 
-    def slope(xq: np.ndarray, u: np.ndarray, t: float) -> list:
-        return np.array(dynamics(xq, u, t), dtype=float, ndmin=1).tolist()
+    def slope(xq: np.ndarray, u: np.ndarray) -> list:
+        return np.array(dynamics(xq, u), dtype=float, ndmin=1).tolist()
 
     # the stage states and the RK4 combination keep numpy's operation order
     half = 0.5 * dt
@@ -463,29 +450,24 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     x = x.tolist()
     xq, u = control(x, 0.0)
     states, controls = [x], [u]
-    run = [] if invariant else [float(np.asarray(prob.running_cost(xq, u, 0.0)))]
     for i in range(nt):
         t = t_all[i]
         th = t + half
-        k1 = slope(xq, u, t)
-        k2 = slope(*control([a + half * b for a, b in zip(x, k1)], th), th)
-        k3 = slope(*control([a + half * b for a, b in zip(x, k2)], th), th)
-        k4 = slope(*control([a + dt * b for a, b in zip(x, k3)], t + dt), t + dt)
+        k1 = slope(xq, u)
+        k2 = slope(*control([a + half * b for a, b in zip(x, k1)], th))
+        k3 = slope(*control([a + half * b for a, b in zip(x, k2)], th))
+        k4 = slope(*control([a + dt * b for a, b in zip(x, k3)], t + dt))
         x = [a + dt * (b + 2.0 * c + 2.0 * d + e) / 6.0 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
         t1 = t_all[i + 1]
         for v, a, b in zip(x, lo, hi):
             if v < a or v > b:  # NaN passes
                 raise StateEscapeError(f"trajectory escaped the inflated state box at t = {t1:g}")
         xq, u = control(x, t1)
-        if invariant:
-            states.append(x)
-            controls.append(u)
-        else:
-            run.append(float(np.asarray(prob.running_cost(xq, u, t1))))
-    if invariant:
-        # one call over the trajectory, broadcast as the march broadcasts L
-        run = np.broadcast_to(np.asarray(prob.running_cost(np.array(states), np.array(controls), 0.0), dtype=float), nt + 1)
-    y = weights * np.asarray(run)
+        states.append(x)
+        controls.append(u)
+    # one call over the trajectory, broadcast as the march broadcasts L
+    run = np.broadcast_to(np.asarray(prob.running_cost(np.array(states), np.array(controls)), dtype=float), nt + 1)
+    y = weights * run
     return float(dt * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1]))
 
 

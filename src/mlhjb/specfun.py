@@ -7,8 +7,8 @@ power-series summation,
     E_{a,b}(z) = sum_{n>=0} z^n / Gamma(a n + b),
 
 in float64.  Where the alternating terms of that sum cancel more than five
-decimal digits, or the sum overflows or does not converge within the term
-budget, three other routes take over, by region:
+decimal digits, or the sum overflows or does not converge within 2,000
+terms, three other routes take over, by region:
 
 - z <= 0, 0 < a <= 1, 0 < b <= 1 + a: Garrappa's optimal parabolic contour
   (OPC) for the inverse Laplace transform of s^(a-b) / (s^a - z), in
@@ -47,7 +47,6 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "DiscountSpec",
-    "SeriesControl",
     "gamma",
     "ml_one",
     "ml_two",
@@ -59,6 +58,12 @@ __all__ = [
 # to cancellation between the largest term and the final sum.
 _ESCALATE_DIGITS = 5.0
 _OVERFLOW_GUARD = 1e290
+# Series truncation: stop once two consecutive terms are at most
+# _ABS_TOL + _REL_TOL |sum|; give up (ConvergenceError, or the float64 sum
+# escalates) after _MAX_TERMS terms.  The contour has its own 1e-15 target.
+_MAX_TERMS = 2000
+_ABS_TOL = 1e-30
+_REL_TOL = 1e-15
 
 # The OPC contour s(u) = mu (1 + iu)^2, |u| <= _U_MAX, with Garrappa's
 # parameters for a 1e-15 target when the only singularity is the branch
@@ -95,30 +100,6 @@ class DiscountSpec:
             raise DomainError("lam must be a finite real number")
 
 
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for Mittag-Leffler series summation.
-
-    It governs the float64 and mpmath sums; the contour evaluation has its
-    own fixed 1e-15 target.
-    """
-
-    max_terms: int = 2000
-    abs_tol: float = 1e-30
-    rel_tol: float = 1e-15
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise DomainError("tolerances must be non-negative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise DomainError("at least one of abs_tol, rel_tol must be positive")
-
-
-_DEFAULT_CONTROL = SeriesControl()
-
-
 def gamma(x: float) -> float:
     """Gamma function for real ``x``, excluding the poles.
 
@@ -143,33 +124,33 @@ def gamma(x: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)
-def _term_ratios(alpha: float, beta: float, max_terms: int) -> tuple[float, ...]:
-    """Gamma(a n + b) / Gamma(a (n + 1) + b) for n < max_terms."""
+def _term_ratios(alpha: float, beta: float) -> tuple[float, ...]:
+    """Gamma(a n + b) / Gamma(a (n + 1) + b) for n < _MAX_TERMS."""
     return tuple(
-        math.exp(math.lgamma(alpha * n + beta) - math.lgamma(alpha * (n + 1) + beta)) for n in range(max_terms)
+        math.exp(math.lgamma(alpha * n + beta) - math.lgamma(alpha * (n + 1) + beta)) for n in range(_MAX_TERMS)
     )
 
 
-def _series_float(alpha: float, beta: float, z: np.ndarray, ctl: SeriesControl):
+def _series_float(alpha: float, beta: float, z: np.ndarray):
     """One pass of the power series in float64.
 
     Returns ``(total, max_term, ok)`` where ``max_term`` is the per-element
     peak of ``|term|`` and ``ok`` is False when the term recurrence overflowed
-    or the truncation rule was not met within ``ctl.max_terms``.
+    or the truncation rule was not met within _MAX_TERMS terms.
     """
-    ratios = _term_ratios(alpha, beta, ctl.max_terms)
+    ratios = _term_ratios(alpha, beta)
     total = np.full_like(z, 1.0 / math.gamma(beta))
     term = total.copy()
     peak = np.abs(term)
     consecutive_small = 0
-    for n in range(ctl.max_terms):
+    for n in range(_MAX_TERMS):
         term = term * z * ratios[n]
         mags = np.abs(term)
         if not np.all(np.isfinite(term)) or mags.max(initial=0.0) > _OVERFLOW_GUARD:
             return total, peak, False
         np.maximum(peak, mags, out=peak)
         total = total + term
-        if np.all(mags <= ctl.abs_tol + ctl.rel_tol * np.abs(total)):
+        if np.all(mags <= _ABS_TOL + _REL_TOL * np.abs(total)):
             consecutive_small += 1
             if consecutive_small >= 2:
                 return total, peak, True
@@ -178,7 +159,7 @@ def _series_float(alpha: float, beta: float, z: np.ndarray, ctl: SeriesControl):
     return total, peak, False
 
 
-def _series_mp(alpha: float, beta: float, z: float, ctl: SeriesControl, dps: int) -> float:
+def _series_mp(alpha: float, beta: float, z: float, dps: int) -> float:
     """Arbitrary-precision summation of one series element.
 
     The working precision is raised until it covers the cancellation actually
@@ -200,13 +181,13 @@ def _series_mp(alpha: float, beta: float, z: float, ctl: SeriesControl, dps: int
             peak = abs(term)
             consecutive_small = 0
             converged = False
-            for n in range(ctl.max_terms):
+            for n in range(_MAX_TERMS):
                 g_next = mp.gamma(a * (n + 1) + b)
                 term = term * zm * (g_prev / g_next)
                 g_prev = g_next
                 peak = max(peak, abs(term))
                 total += term
-                if abs(term) <= ctl.abs_tol + ctl.rel_tol * abs(total):
+                if abs(term) <= _ABS_TOL + _REL_TOL * abs(total):
                     consecutive_small += 1
                     if consecutive_small >= 2:
                         converged = True
@@ -215,7 +196,7 @@ def _series_mp(alpha: float, beta: float, z: float, ctl: SeriesControl, dps: int
                     consecutive_small = 0
             if not converged:
                 raise ConvergenceError(
-                    f"Mittag-Leffler series not converged in {ctl.max_terms} terms "
+                    f"Mittag-Leffler series not converged in {_MAX_TERMS} terms "
                     f"(alpha={alpha:g}, beta={beta:g}, z={z:g})"
                 )
             lost = mp.log10(peak / abs(total)) if total != 0 else mp.mpf(0)
@@ -276,8 +257,8 @@ def _ml_nonpositive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series(alpha: float, beta: float, z: np.ndarray, ctl: SeriesControl) -> np.ndarray:
-    total, peak, ok = _series_float(alpha, beta, z, ctl)
+def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    total, peak, ok = _series_float(alpha, beta, z)
     if ok:
         tiny = np.finfo(float).tiny
         lost = np.log10(np.maximum(peak, tiny) / np.maximum(np.abs(total), tiny))
@@ -292,57 +273,55 @@ def _series(alpha: float, beta: float, z: np.ndarray, ctl: SeriesControl) -> np.
     flat = total.reshape(-1)
     zflat = z.reshape(-1)
     for j in np.flatnonzero(redo):
-        flat[j] = _series_mp(alpha, beta, float(zflat[j]), ctl, dps=30)
+        flat[j] = _series_mp(alpha, beta, float(zflat[j]), dps=30)
     return total
 
 
-def _eval_series(alpha: float, beta: float, z, ctl: SeriesControl):
+def _eval_series(alpha: float, beta: float, z):
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("series argument must be finite")
-    out = _series(alpha, beta, np.atleast_1d(arr).copy(), ctl)
+    out = _series(alpha, beta, np.atleast_1d(arr).copy())
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
-def ml_one(alpha: float, z, control: SeriesControl | None = None):
+def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E_alpha(z).
 
     ``z`` may be a scalar or an array.  ``alpha = 0`` is the geometric series
     1/(1 - z), valid only for ``|z| < 1``.
     """
-    ctl = control or _DEFAULT_CONTROL
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:
         raise DomainError(f"ml_one requires alpha >= 0, got {alpha}")
     if alpha == 0.0:
         if np.any(np.abs(np.asarray(z, dtype=float)) >= 1.0):
             raise DomainError("ml_one at alpha=0 requires |z| < 1")
-    return _eval_series(alpha, 1.0, z, ctl)
+    return _eval_series(alpha, 1.0, z)
 
 
-def ml_two(alpha: float, beta: float, z, control: SeriesControl | None = None):
+def ml_two(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
-    ctl = control or _DEFAULT_CONTROL
     alpha = float(alpha)
     beta = float(beta)
     if not math.isfinite(alpha) or alpha <= 0.0:
         raise DomainError(f"ml_two requires alpha > 0, got {alpha}")
     if not math.isfinite(beta) or beta <= 0.0:
         raise DomainError(f"ml_two requires beta > 0, got {beta}")
-    return _eval_series(alpha, beta, z, ctl)
+    return _eval_series(alpha, beta, z)
 
 
-def kernel(spec: DiscountSpec, t, control: SeriesControl | None = None):
+def kernel(spec: DiscountSpec, t):
     """Discount kernel E_alpha(lam * t**alpha) for t >= 0."""
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("kernel requires finite t >= 0")
-    return ml_one(spec.alpha, spec.lam * np.power(arr, spec.alpha), control)
+    return ml_one(spec.alpha, spec.lam * np.power(arr, spec.alpha))
 
 
-def kernel_deriv(spec: DiscountSpec, sigma, control: SeriesControl | None = None):
+def kernel_deriv(spec: DiscountSpec, sigma):
     """Time derivative of the discount kernel,
 
         d/dsigma E_a(lam sigma^a) = lam sigma^(a-1) E_{a,a}(lam sigma^a),
@@ -354,5 +333,5 @@ def kernel_deriv(spec: DiscountSpec, sigma, control: SeriesControl | None = None
     if np.any(arr <= 0.0) or not np.all(np.isfinite(arr)):
         raise DomainError("kernel_deriv requires finite sigma > 0")
     a = spec.alpha
-    body = ml_two(a, a, spec.lam * np.power(arr, a), control)
+    body = ml_two(a, a, spec.lam * np.power(arr, a))
     return spec.lam * np.power(arr, a - 1.0) * body

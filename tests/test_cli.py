@@ -44,6 +44,19 @@ class TestMl:
         assert code == 0
         assert path.read_text() == "2.718281828459\n"
 
+    def test_out_symlink_to_file_is_replaced(self, capsys, tmp_path):
+        # --out is created anew, as solve and verify create theirs
+        target = tmp_path / "elsewhere.txt"
+        target.write_text("keep\n")
+        link = tmp_path / "ml.txt"
+        link.symlink_to(target)
+        code, out, _ = run(["ml", "--alpha", "1", "--z", "1", "--out", str(link)], capsys)
+        assert code == 0
+        assert out == "2.718281828459\n"
+        assert not link.is_symlink()
+        assert link.read_text() == out
+        assert target.read_text() == "keep\n"
+
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run(["ml", "--alpha", "0", "--z", "2"], capsys)
         assert code == 2
@@ -68,6 +81,20 @@ class TestVerify:
     def test_unreachable_tolerance_exits_1(self, capsys):
         code, _, _ = run(["verify", "--alpha", "0.5", "--tol", "1e-20"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_invalid_tolerance_exits_2(self, tol, capsys):
+        code, out, err = run(["verify", "--alpha", "0.5", "--s", "0.5", "--tol=" + tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--tol" in err
+
+    def test_invalid_tolerance_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("tol = nan\n")
+        code, out, _ = run(["verify", "--alpha", "0.5", "--s", "0.5", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
 
     def test_classical_residual_is_roundoff(self, capsys):
         code, out, _ = run(["verify", "--alpha", "1", "--t", "0.3", "--s", "0.1,0.7"], capsys)
@@ -541,6 +568,7 @@ class TestParser:
             ["solve", "--tol", "1e-3"],
             ["cost", "--tol", "1e-3"],
             ["cost", "--nx", "17"],
+            ["ml", "--z", "1", "--tol", "1e-3"],
         ],
     )
     def test_removed_flag_exits_2(self, argv, capsys):

@@ -34,8 +34,8 @@ COARSE = SolverConfig(dt=0.01, horizon=5.0, nx=65)
 def _lq_scaled(c: float) -> ControlProblem:
     return ControlProblem(
         dim_x=1,
-        dynamics=lambda x, u, t: u,
-        running_cost=lambda x, u, t: c * 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2),
+        dynamics=lambda x, u: u,
+        running_cost=lambda x, u: c * 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2),
         control_grid=np.linspace(-2.5, 2.5, 101)[:, None],
         state_box=[(-2.0, 2.0)],
     )
@@ -44,13 +44,13 @@ def _lq_scaled(c: float) -> ControlProblem:
 class TestProblemTypes:
     def test_control_problem_validation(self):
         with pytest.raises(DomainError):
-            ControlProblem(3, lambda x, u, t: u, lambda x, u, t: 0.0, [[0.0]], [(-1, 1)] * 3)
+            ControlProblem(3, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)] * 3)
         with pytest.raises(DomainError):
-            ControlProblem(1, lambda x, u, t: u, lambda x, u, t: 0.0, [], [(-1, 1)])
+            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [], [(-1, 1)])
         with pytest.raises(DomainError):
-            ControlProblem(1, lambda x, u, t: u, lambda x, u, t: 0.0, [[0.0]], [(1, -1)])
+            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(1, -1)])
         with pytest.raises(DomainError):
-            ControlProblem(1, lambda x, u, t: u, lambda x, u, t: 0.0, [[0.0]], [(-1, 1)], boundary="wrap")
+            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)], boundary="wrap")
 
     def test_solver_config_validation(self):
         with pytest.raises(DomainError):
@@ -121,8 +121,8 @@ class TestSolveFractional:
         # every control costs the same and moves nothing: the argmin ties everywhere
         prob = ControlProblem(
             1,
-            lambda x, u, t: np.zeros_like(x),
-            lambda x, u, t: np.ones(x.shape[:-1]),
+            lambda x, u: np.zeros_like(x),
+            lambda x, u: np.ones(x.shape[:-1]),
             [[-1.0], [0.0], [1.0]],
             [(-1, 1)],
         )
@@ -176,44 +176,34 @@ class TestSolveFractional:
 class TestTimeInvariance:
     CFG = SolverConfig(dt=0.02, horizon=0.5, nx=17, window=10)
 
-    @pytest.mark.parametrize("alpha", [0.8, 1.0])
-    @pytest.mark.parametrize("name", catalog.PROBLEM_NAMES)
-    def test_declaration_changes_no_bit(self, name, alpha):
-        # covers both boundary modes (bounded1d extrapolates) and the 2-D stencil
-        prob = catalog.get(name).problem
-        assert prob.time_invariant
-        cfg = dataclasses.replace(self.CFG, nx=9) if prob.dim_x == 2 else self.CFG
-        spec = DiscountSpec(alpha, -0.5)
-        fld_i, pol_i = solve_fractional(prob, spec, cfg)
-        fld_v, pol_v = solve_fractional(dataclasses.replace(prob, time_invariant=False), spec, cfg)
-        assert np.array_equal(fld_i.values, fld_v.values)
-        assert np.array_equal(pol_i.controls, pol_v.controls)
-        assert np.array_equal(fld_i.residual, fld_v.residual, equal_nan=True)
-
-    def test_time_reaches_undeclared_problem(self):
-        # frozen state, L = t, no discount: V(x, 0) = sum_i dt * (i dt)
-        prob = ControlProblem(
-            1, lambda x, u, t: np.zeros_like(x), lambda x, u, t: np.full(x.shape[:-1], t), [[0.0]], [(-1, 1)]
-        )
-        assert not prob.time_invariant
-        fld, _ = solve_fractional(prob, DiscountSpec(1.0, 0.0), self.CFG)
-        nt = self.CFG.steps
-        assert np.allclose(fld.values[0], self.CFG.dt**2 * nt * (nt - 1) / 2, rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("invariant", [True, False])
-    def test_dynamics_calls(self, invariant):
+    @pytest.mark.parametrize("residual", [True, False])
+    def test_dynamics_calls(self, residual):
+        # the march builds its step once, and the residual pass evaluates f once more
         calls = []
 
-        def dynamics(x, u, t):
-            calls.append(t)
+        def dynamics(x, u):
+            calls.append(x.shape)
             return u
 
-        prob = dataclasses.replace(LQ, dynamics=dynamics, time_invariant=invariant)
-        solve_fractional(prob, DiscountSpec(0.8, -0.5), self.CFG)
-        if invariant:
-            assert len(calls) <= 2
+        prob = dataclasses.replace(LQ, dynamics=dynamics)
+        if residual:
+            solve_fractional(prob, DiscountSpec(0.8, -0.5), self.CFG)
         else:
-            assert len(calls) >= self.CFG.steps
+            solve_classical(prob, DiscountSpec(1.0, -0.5), self.CFG)
+        assert len(calls) == (2 if residual else 1)
+
+    def test_time_dependent_callables_fail_loudly(self):
+        # f(x, u, t) is not a problem's signature: it raises instead of being evaluated at t = 0
+        prob = dataclasses.replace(LQ, dynamics=lambda x, u, t: u)
+        with pytest.raises(TypeError):
+            solve_fractional(prob, DiscountSpec(0.8, -0.5), self.CFG)
+        with pytest.raises(TypeError):
+            evaluate_cost(prob, DiscountSpec(0.8, -0.5), _LAWS[1], np.array([1.0]), self.CFG)
+        prob = dataclasses.replace(LQ, running_cost=lambda x, u, t: x[..., 0] ** 2)
+        with pytest.raises(TypeError):
+            solve_classical(prob, DiscountSpec(1.0, -0.5), self.CFG)
+        with pytest.raises(TypeError):
+            evaluate_cost(prob, DiscountSpec(0.8, -0.5), _LAWS[1], np.array([1.0]), self.CFG)
 
 
 def _unstreamed(prob, spec, cfg):
@@ -225,7 +215,7 @@ def _unstreamed(prob, spec, cfg):
     disc = math.exp(spec.lam * dt) if spec.alpha == 1.0 else float(kernel(spec, dt))
     values = np.zeros((nt + 1,) + shape)
     policy = np.zeros((nt,) + shape, dtype=np.int32)
-    l_dt, stencil = hjb._sl_step(prob, axes, states, 0.0, dt)
+    l_dt, stencil = hjb._sl_step(prob, axes, states, dt)
     cand, tmp = np.empty(l_dt.shape), np.empty(l_dt.shape)
     for i in range(nt - 1, -1, -1):
         hjb._apply_stencil(stencil, values[i + 1], cand, tmp)
@@ -233,7 +223,7 @@ def _unstreamed(prob, spec, cfg):
         policy[i] = np.argmin(cand, axis=-1)
         values[i] = np.take_along_axis(cand, policy[i][..., None].astype(np.intp), axis=-1)[..., 0]
     res = np.full_like(values, np.nan)
-    L, F = hjb._batched_LF(prob, states, 0.0)
+    L, F = hjb._batched_LF(prob, states)
     amp, order = amplitude(spec.alpha), FracOrder(1.0 - spec.alpha)
     for i in range(cfg.window, nt):
         frac = rl_window_deriv(values[i - cfg.window : i + 1], dt, order)
@@ -397,11 +387,11 @@ def _reference_rollout(prob, spec, law, x0, cfg):
 
     def f_at(xq, t):
         u = np.atleast_1d(np.asarray(law(xq, t), dtype=float))
-        return np.atleast_1d(np.asarray(prob.dynamics(xq, u, t), dtype=float))
+        return np.atleast_1d(np.asarray(prob.dynamics(xq, u), dtype=float))
 
     run = np.empty(nt + 1)
     u = np.atleast_1d(np.asarray(law(x, 0.0), dtype=float))
-    run[0] = float(np.asarray(prob.running_cost(x, u, 0.0)))
+    run[0] = float(np.asarray(prob.running_cost(x, u)))
     for i in range(nt):
         t = times[i]
         k1 = f_at(x, t)
@@ -412,7 +402,7 @@ def _reference_rollout(prob, spec, law, x0, cfg):
         if np.any(x < bounds[:, 0]) or np.any(x > bounds[:, 1]):
             raise StateEscapeError(f"trajectory escaped the inflated state box at t = {times[i + 1]:g}")
         u = np.atleast_1d(np.asarray(law(x, times[i + 1]), dtype=float))
-        run[i + 1] = float(np.asarray(prob.running_cost(x, u, times[i + 1])))
+        run[i + 1] = float(np.asarray(prob.running_cost(x, u)))
     y = weights * run
     return float(dt * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1]))
 
@@ -448,32 +438,16 @@ class TestRollout:
         x0 = np.array([0.6, -0.4][: prob.dim_x])
         assert evaluate_cost(prob, spec, law, x0, self.CFG) == _reference_rollout(prob, spec, law, x0, self.CFG)
 
-    def test_undeclared_problem_gets_each_step_time(self):
-        # frozen state, L = t, no discount: the trapezoid sum of t over [0, T]
-        seen = []
-
-        def cost(x, u, t):
-            seen.append(t)
-            return np.full(x.shape[:-1], t)
-
-        prob = ControlProblem(1, lambda x, u, t: np.zeros_like(x), cost, [[0.0]], [(-1, 1)])
-        spec = DiscountSpec(1.0, 0.0)
-        law = lambda x, t: np.array([0.0])
-        j = evaluate_cost(prob, spec, law, np.array([0.0]), self.CFG)
-        assert seen == (np.arange(self.CFG.steps + 1) * self.CFG.dt).tolist()
-        assert j == _reference_rollout(prob, spec, law, np.array([0.0]), self.CFG)
-        assert j == pytest.approx(0.5 * self.CFG.horizon**2, rel=1e-12)
-
     def test_declared_problem_costs_the_trajectory_once(self):
         calls = []
 
-        def cost(x, u, t):
-            calls.append((x.shape, t))
+        def cost(x, u):
+            calls.append(x.shape)
             return 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2)
 
         prob = dataclasses.replace(LQ, running_cost=cost)
         evaluate_cost(prob, DiscountSpec(0.8, -0.5), _LAWS[1], np.array([1.0]), self.CFG)
-        assert calls == [((self.CFG.steps + 1, 1), 0.0)]
+        assert calls == [(self.CFG.steps + 1, 1)]
 
     def test_law_called_once_per_stage(self):
         calls = []
@@ -575,8 +549,8 @@ class TestBoundaryModes:
         # uncontrolled rightward drift: feet leave the box at the right edge
         return ControlProblem(
             dim_x=1,
-            dynamics=lambda x, u, t: np.ones_like(x),
-            running_cost=lambda x, u, t: x[..., 0] ** 2,
+            dynamics=lambda x, u: np.ones_like(x),
+            running_cost=lambda x, u: x[..., 0] ** 2,
             control_grid=[[0.0]],
             state_box=[(0.0, 1.0)],
             boundary=boundary,
