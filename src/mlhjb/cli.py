@@ -242,8 +242,8 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
     worst = 0.0
+    kt = float(kernel(spec, args.t))
     for s in args.s:
-        kt = float(kernel(spec, args.t))
         ks = float(kernel(spec, s))
         kts = float(kernel(spec, args.t + s))
         delta = delta_ml(spec, args.t, s, quad)
@@ -263,8 +263,10 @@ def _cmd_verify(args) -> int:
 
 
 def _slice_indices(count: int, stride: int | None) -> list[int]:
-    if stride is None or stride <= 0:
+    if stride is None:
         stride = max(1, math.ceil(count / 201))
+    elif stride < 1:
+        raise DomainError(f"--stride must be a positive integer, got {stride}")
     idx = list(range(0, count, stride))
     if idx[-1] != count - 1:
         idx.append(count - 1)

@@ -266,12 +266,6 @@ def _stability_guard(spec: DiscountSpec, dt: float) -> None:
             raise DomainError(msg)
 
 
-def _sl_step(prob: ControlProblem, axes: tuple, states: np.ndarray, dt: float) -> tuple:
-    """L dt and the stencil at the feet x + f dt, over (grid shape, control count)."""
-    L, F = _batched_LF(prob, states)
-    return L * dt, _stencil(axes, states[..., None, :] + F * dt, prob.boundary)
-
-
 def _kept(slices, nt: int) -> list:
     """The step indices a solve returns: every one by default, else ``slices``."""
     if slices is None:
@@ -282,18 +276,18 @@ def _kept(slices, nt: int) -> list:
     return kept
 
 
-def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, axes: tuple, states: np.ndarray):
+def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, axes: tuple, L, F):
     """Function writing the PDE residual -lam A(a) D^(1-a) V - V_t - min H of one slice.
 
+    ``L`` and ``F`` are the running cost and velocity from _batched_LF.
     ``row(hist, out)`` takes the window + 2 slices from t - window dt to
     t + dt, oldest first.  The order-(1-a) derivative is the windowed L1
     form over the trailing cfg.window intervals up to t.
     """
     amp = amplitude(spec.alpha)
     order = FracOrder(1.0 - spec.alpha)
-    h = np.empty(states.shape[:-1] + (len(prob.controls),))
+    h = np.empty(L.shape)
     tmp = np.empty_like(h)
-    L, F = _batched_LF(prob, states)
 
     def row(hist: np.ndarray, out: np.ndarray) -> None:
         frac = rl_window_deriv(hist[:-1], cfg.dt, order)
@@ -337,11 +331,14 @@ def _march(
     values = np.empty((len(kept),) + shape)
     policy = np.zeros((bisect_left(kept, nt),) + shape, dtype=np.int32)
     res = np.full_like(values, np.nan) if residual else None
-    row = _residual_rows(prob, spec, cfg, axes, states) if residual else None
+    # one (grid, controls) batch serves the step and the residual
+    L, F = _batched_LF(prob, states)
+    row = _residual_rows(prob, spec, cfg, axes, L, F) if residual else None
+    l_dt = L * cfg.dt
+    stencil = _stencil(axes, states[..., None, :] + F * cfg.dt, prob.boundary)
     slice_i = np.zeros(shape)
     cand = np.empty(shape + (len(prob.controls),))
     tmp = np.empty_like(cand)
-    l_dt, stencil = _sl_step(prob, axes, states, cfg.dt)
     for i in range(nt, -1, -1):
         if i < nt:
             # cand = L dt + disc * V(feet), rounded as that expression would be

@@ -1,32 +1,35 @@
 """Mittag-Leffler functions and discount kernels.
 
-The one- and two-parameter Mittag-Leffler functions are evaluated by direct
-power-series summation,
+The one- and two-parameter Mittag-Leffler functions
 
     E_a(z)   = sum_{n>=0} z^n / Gamma(a n + 1),
-    E_{a,b}(z) = sum_{n>=0} z^n / Gamma(a n + b),
+    E_{a,b}(z) = sum_{n>=0} z^n / Gamma(a n + b)
 
-in float64.  Where the alternating terms of that sum cancel more than five
-decimal digits, or the sum overflows or does not converge within 2,000
-terms, three other routes take over, by region:
+are evaluated by one of three routes, chosen for each point from (a, b, z)
+before any sum:
 
-- z <= 0, 0 < a <= 1, 0 < b <= 1 + a: Garrappa's optimal parabolic contour
-  (OPC) for the inverse Laplace transform of s^(a-b) / (s^a - z), in
-  float64 (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015).  One fixed
-  27-node half contour serves every z; for |z| >= 1 it evaluates
-  E_{a,b-a}(z), and E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z makes the
-  leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.  Measured
-  relative error against exact-parameter sums: at most 7e-14 for |z| >= 1
-  and a <= 0.95, at most 7e-13 for |z| < 1 (largest as b nears 1 + a); it
-  grows as (a, b) nears (1, 1), where the function tends to e^z (6e-12 at
-  a = b = 0.999, z = -50).
-- a = b = 1 in that region: exp(z).
-- anywhere else (a > 1 with z < 0, b > 1 + a, z > 0 when the float64 sum
-  overflows): the series summed by mpmath at a working precision that covers
-  the cancellation, with a and b converted to mpf exactly.
+- z <= -c^a with 0 < a <= 1, 0 < b <= 1 + a (the kernel region: every
+  kernel, kernel-derivative and defect evaluation), c = _CUT: Garrappa's
+  optimal parabolic contour (OPC) for the inverse Laplace transform of
+  s^(a-b) / (s^a - z), in float64 (R. Garrappa, SIAM J. Numer. Anal. 53(3),
+  2015), or exp(z) at a = b = 1.  One fixed 27-node half contour serves
+  every z.  It evaluates E_{a,b-a}(z), and E_{a,b}(z) =
+  (E_{a,b-a}(z) - 1/Gamma(b-a)) / z makes the leading -1/(z Gamma(b-a)) of
+  the large-|z| expansion exact.
+- every other point: the power series in float64.  In the kernel region the
+  cut bounds the digits it loses to cancellation (at most 2.4 for b >= a >=
+  0.1), and the sum is kept.
+- a point outside the kernel region, or with z > 0, whose float64 sum
+  cancels more than five digits, overflows or does not converge within
+  2,000 terms: the series summed by mpmath at a working precision that
+  covers the cancellation, with a and b converted to mpf exactly.  No test
+  on z decides these in advance (for example near the real zeros at a > 1).
 
-Points whose float64 sum cancels five digits or fewer keep that sum; their
-relative error grows with the cancellation, to about 1e-9 at five digits.
+In the kernel region the measured relative error against exact-parameter
+sums is at most 1e-12 for 0.1 <= a <= 0.99 and b >= a; it grows as (a, b)
+nears (1, 1), where the function tends to e^z (6e-12 at a = b = 0.999,
+z = -50).  Below a ~ 0.014 the series near the cut needs more than 2,000
+terms, and those points raise ConvergenceError.
 The discount kernel built on top of them is
 
     kernel(t) = E_a(lam * t**a),
@@ -47,15 +50,18 @@ from .errors import ConvergenceError, DomainError
 
 __all__ = [
     "DiscountSpec",
-    "gamma",
     "ml_one",
     "ml_two",
     "kernel",
     "kernel_deriv",
 ]
 
-# Leave the float64 series once more than this many decimal digits are lost
-# to cancellation between the largest term and the final sum.
+# Kernel-region points with z <= -_CUT**a go to the contour.  Above the cut
+# the series' largest term, about exp(|z|^(1/a)), exceeds the sum by at most
+# 1.5 decimal digits for b >= 1 and 2.4 for b = a >= 0.1.
+_CUT = 2.3
+# Elsewhere a float64 sum that loses more than this many decimal digits to
+# cancellation between the largest term and the final sum goes to mpmath.
 _ESCALATE_DIGITS = 5.0
 _OVERFLOW_GUARD = 1e290
 # Series truncation: stop once two consecutive terms are at most
@@ -100,29 +106,6 @@ class DiscountSpec:
             raise DomainError("lam must be a finite real number")
 
 
-def gamma(x: float) -> float:
-    """Gamma function for real ``x``, excluding the poles.
-
-    Backed by the platform's Lanczos-type rational approximation
-    (``math.gamma``), which keeps the relative error at a few ulp across
-    (0, 170].  Negative non-integer arguments go through the reflection
-    formula inside the same routine.  Raises ``DomainError`` at the poles
-    (zero and negative integers) and ``OverflowError`` once the result
-    leaves double range.
-    """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError("gamma requires a finite argument")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma pole at non-positive integer x={x:g}")
-    try:
-        return math.gamma(x)
-    except OverflowError:
-        raise OverflowError(f"gamma({x:g}) exceeds double-precision range") from None
-    except ValueError:  # pragma: no cover - poles already rejected above
-        raise DomainError(f"gamma undefined at x={x:g}") from None
-
-
 @functools.lru_cache(maxsize=16)
 def _term_ratios(alpha: float, beta: float) -> tuple[float, ...]:
     """Gamma(a n + b) / Gamma(a (n + 1) + b) for n < _MAX_TERMS."""
@@ -146,7 +129,7 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
     for n in range(_MAX_TERMS):
         term = term * z * ratios[n]
         mags = np.abs(term)
-        if not np.all(np.isfinite(term)) or mags.max(initial=0.0) > _OVERFLOW_GUARD:
+        if not mags.max(initial=0.0) <= _OVERFLOW_GUARD:  # also inf and NaN
             return total, peak, False
         np.maximum(peak, mags, out=peak)
         total = total + term
@@ -240,48 +223,49 @@ def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ml_nonpositive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) in float64 for 1-D z <= 0, 0 < alpha <= 1, 0 < beta <= 1 + alpha."""
+def _ml_far(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) in float64 for 1-D z <= -1, 0 < alpha <= 1, 0 < beta <= 1 + alpha."""
     if alpha == 1.0 and beta == 1.0:
         return np.exp(z)
-    out = np.empty_like(z)
-    far = z <= -1.0
-    out[~far] = _contour_sum(alpha, beta, z[~far])
     # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z: the leading term of the
     # large-|z| expansion, -1/(z Gamma(b-a)), is then exact, and the contour
     # sum keeps its relative accuracy where that term is small or zero (b = a).
     # b - a lies in (-1, 1], so its only gamma pole is 0.
     lead = 0.0 if beta == alpha else 1.0 / math.gamma(beta - alpha)
-    zf = z[far]
-    out[far] = (_contour_sum(alpha, beta - alpha, zf) - lead) / zf
-    return out
+    return (_contour_sum(alpha, beta - alpha, z) - lead) / z
 
 
 def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    total, peak, ok = _series_float(alpha, beta, z)
-    if ok:
-        tiny = np.finfo(float).tiny
-        lost = np.log10(np.maximum(peak, tiny) / np.maximum(np.abs(total), tiny))
-        redo = lost > _ESCALATE_DIGITS
-    else:
-        redo = np.ones(z.shape, dtype=bool)
-    if 0.0 < alpha <= 1.0 and beta <= 1.0 + alpha:
-        contour = redo & (z <= 0.0)
-        if contour.any():
-            total[contour] = _ml_nonpositive(alpha, beta, z[contour])
-            redo &= ~contour
-    flat = total.reshape(-1)
-    zflat = z.reshape(-1)
+    """E_{alpha,beta}(z), each point routed by (alpha, beta, z) alone."""
+    out = np.empty_like(z)
+    kernel_region = 0.0 < alpha <= 1.0 and beta <= 1.0 + alpha
+    summed = z > -(_CUT**alpha) if kernel_region else np.ones(z.shape, dtype=bool)
+    if not summed.all():
+        out[~summed] = _ml_far(alpha, beta, z[~summed])
+    zs = z[summed]
+    total, peak, ok = _series_float(alpha, beta, zs)
+    redo = (peak > 10.0**_ESCALATE_DIGITS * np.abs(total)) | (not ok)
+    if kernel_region:
+        kept = zs <= 0.0
+        if not ok and kept.any():
+            # a kept sum is never escalated; it gives up below alpha ~ 0.014,
+            # where terms near the cut outlast _MAX_TERMS, or when a z > 0
+            # point of the same array overflows
+            raise ConvergenceError(
+                f"Mittag-Leffler series not converged in {_MAX_TERMS} terms (alpha={alpha:g}, beta={beta:g})"
+            )
+        redo &= ~kept
     for j in np.flatnonzero(redo):
-        flat[j] = _series_mp(alpha, beta, float(zflat[j]), dps=30)
-    return total
+        total[j] = _series_mp(alpha, beta, float(zs[j]), dps=30)
+    out[summed] = total
+    return out
 
 
 def _eval_series(alpha: float, beta: float, z):
     arr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise DomainError("series argument must be finite")
-    out = _series(alpha, beta, np.atleast_1d(arr).copy())
+    out = _series(alpha, beta, np.atleast_1d(arr))
     if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)

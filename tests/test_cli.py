@@ -142,7 +142,7 @@ class TestVerify:
             ),
             (
                 ["--alpha", "0.9", "--lambda=-2", "--t", "3", "--s", "0.01,0.5", "--panels", "4"],
-                "c66e1ebf2ebf60686a42d1330429df1b91a6257854922cc8328656a16f9bb54e",
+                "1dc1e08ac99b885953ded6450456dd443af83afd7ae0bef2162fe60ac2ea4192",
             ),
             (
                 ["--alpha", "0.5", "--lambda=1.5", "--t", "0.2", "--s", "0.05,1.0", "--panels", "8",
@@ -236,6 +236,14 @@ class TestSolve:
         code, _, err = run(["solve", "--dt", "0", "--out", str(tmp_path)], capsys)
         assert code == 2
         assert "dt" in err
+
+    @pytest.mark.parametrize("stride", ["0", "-5"])
+    def test_bad_stride_exits_2_before_writing(self, stride, capsys, tmp_path):
+        code, out, err = run(["solve", "--problem", "zero1d", "--stride=" + stride, "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "--stride" in err
+        assert list(tmp_path.glob("*.csv")) == []
 
     def test_divergence_exits_3(self, capsys, tmp_path):
         code, _, err = run(

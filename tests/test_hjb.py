@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import erfcx
 
 from mlhjb import (
     ControlProblem,
@@ -178,7 +179,7 @@ class TestTimeInvariance:
 
     @pytest.mark.parametrize("residual", [True, False])
     def test_dynamics_calls(self, residual):
-        # the march builds its step once, and the residual pass evaluates f once more
+        # one (grid, controls) batch serves the march step and the residual pass
         calls = []
 
         def dynamics(x, u):
@@ -190,7 +191,7 @@ class TestTimeInvariance:
             solve_fractional(prob, DiscountSpec(0.8, -0.5), self.CFG)
         else:
             solve_classical(prob, DiscountSpec(1.0, -0.5), self.CFG)
-        assert len(calls) == (2 if residual else 1)
+        assert len(calls) == 1
 
     def test_time_dependent_callables_fail_loudly(self):
         # f(x, u, t) is not a problem's signature: it raises instead of being evaluated at t = 0
@@ -215,7 +216,9 @@ def _unstreamed(prob, spec, cfg):
     disc = math.exp(spec.lam * dt) if spec.alpha == 1.0 else float(kernel(spec, dt))
     values = np.zeros((nt + 1,) + shape)
     policy = np.zeros((nt,) + shape, dtype=np.int32)
-    l_dt, stencil = hjb._sl_step(prob, axes, states, dt)
+    L, F = hjb._batched_LF(prob, states)
+    l_dt = L * dt
+    stencil = hjb._stencil(axes, states[..., None, :] + F * dt, prob.boundary)
     cand, tmp = np.empty(l_dt.shape), np.empty(l_dt.shape)
     for i in range(nt - 1, -1, -1):
         hjb._apply_stencil(stencil, values[i + 1], cand, tmp)
@@ -223,7 +226,6 @@ def _unstreamed(prob, spec, cfg):
         policy[i] = np.argmin(cand, axis=-1)
         values[i] = np.take_along_axis(cand, policy[i][..., None].astype(np.intp), axis=-1)[..., 0]
     res = np.full_like(values, np.nan)
-    L, F = hjb._batched_LF(prob, states)
     amp, order = amplitude(spec.alpha), FracOrder(1.0 - spec.alpha)
     for i in range(cfg.window, nt):
         frac = rl_window_deriv(values[i - cfg.window : i + 1], dt, order)
@@ -324,6 +326,15 @@ class TestEvaluateCost:
         cfg = SolverConfig(dt=0.0025, horizon=40.0, nx=9)
         j = evaluate_cost(entry.problem, DiscountSpec(1.0, -1.0), lambda x, t: np.array([0.0]), np.array([0.0]), cfg)
         assert j == pytest.approx(1.0, abs=1e-5)
+
+    def test_half_order_cost_is_erfcx_trapezoid(self):
+        # frozen state, L = 1, a = 1/2, lam = -1: the weights are
+        # E_{1/2}(-sqrt(t)) = erfcx(sqrt(t)), so J is their trapezoid sum
+        entry = catalog.get("static1d")
+        cfg = SolverConfig(dt=entry.dt, horizon=entry.horizon, nx=entry.nx)
+        j = evaluate_cost(entry.problem, DiscountSpec(0.5, -1.0), lambda x, t: np.array([0.0]), np.array([0.0]), cfg)
+        y = erfcx(np.sqrt(np.arange(cfg.steps + 1) * cfg.dt))
+        assert j == pytest.approx(cfg.dt * (0.5 * y[0] + y[1:-1].sum() + 0.5 * y[-1]), rel=1e-12)
 
     def test_lqr_feedback_cost(self):
         P, k = lqr_oracle(0.0, 1.0, 1.0, 1.0, -0.5)

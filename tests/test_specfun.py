@@ -1,21 +1,21 @@
-"""Series core: closed forms, frozen extended-precision values, dual-route gamma."""
+"""Series core: closed forms and frozen extended-precision values."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import erfcx
 
 from mlhjb import (
     ConvergenceError,
     DiscountSpec,
     DomainError,
-    gamma,
     kernel,
     kernel_deriv,
     ml_one,
     ml_two,
+    specfun,
 )
 
 # frozen oracles: 40-digit series sums (400 terms), rounded to double
@@ -36,6 +36,20 @@ ML2_88_AT_M15 = 9.223128515477956054e-04   # E_{0.8,0.8}(-15)
 ML2_88_AT_M40 = 1.1604140205456125749e-04  # E_{0.8,0.8}(-40)
 ML2_03_2_AT_M3 = 0.2719572978034493        # E_{0.3,2}(-3)
 ML2_03_2_AT_M4 = 0.21825969356022965       # E_{0.3,2}(-4)
+# E_{a,b}(z) just inside and just past the series/contour cut z = -2.3^a,
+# at z = -2.3^a * 0.999 and -2.3^a * 1.001, for b = a, 1, 1 + a
+ML_AT_CUT = {
+    0.1: ((0.02300691604377212, 0.02295769437491226), (0.464960243453175, 0.4644606737193175),
+          (0.4927739962501881, 0.4922486194760563)),
+    0.3: ((0.05802759788368005, 0.05788600876075357), (0.39348313678861013, 0.3929870802254094),
+          (0.47288881412807426, 0.4723299737486588)),
+    0.5: ((0.08067584774756698, 0.08044977062382741), (0.3191386546599543, 0.31864993690926047),
+          (0.44939607227949124, 0.4488201070419793)),
+    0.8: ((0.0969057745940147, 0.0965531371607831), (0.19627638346319587, 0.19580553577978552),
+          (0.4131987249880108, 0.4126147348425477)),
+    0.99: ((0.10034701763380065, 0.09989219177695273), (0.10566089413756495, 0.10519955135713482),
+           (0.39248781216269957, 0.3919056801458692)),
+}
 # E_{a,b}(z) at z = -10, -30, -100 for b = 1 and b = a
 ML_NEGATIVE_GRID = {
     (0.3, 1.0): (0.07264972907277209, 0.025182617502927662, 0.007658856222286642),
@@ -47,44 +61,6 @@ ML_NEGATIVE_GRID = {
     (0.95, 1.0): (0.006507135312256063, 0.0018277746789235518, 0.000523330643947041),
     (0.95, 0.95): (0.0008219108784831853, 6.192890115731745e-05, 5.0665820236802196e-06),
 }
-
-
-class TestGamma:
-    def test_unit(self):
-        assert gamma(1.0) == 1.0
-
-    def test_factorial(self):
-        assert gamma(5.0) == pytest.approx(24.0, rel=1e-14)
-
-    def test_half_integer_vs_defining_integral(self):
-        # dual route: numerical quadrature of int_0^inf t^(x-1) e^-t dt
-        for x in (0.5, 2.5, 3.7):
-            ref, _ = quad(lambda t: t ** (x - 1.0) * math.exp(-t), 0.0, np.inf)
-            assert gamma(x) == pytest.approx(ref, rel=1e-9)
-
-    def test_sqrt_pi(self):
-        assert gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_recurrence(self):
-        for r in (0.1, 0.5, 1.5, 10.3):
-            assert gamma(r + 1.0) / gamma(r) == pytest.approx(r, rel=1e-12)
-
-    def test_negative_non_integer(self):
-        # Gamma(-2.5) = -8 sqrt(pi) / 15 by the recurrence
-        assert gamma(-2.5) == pytest.approx(-8.0 * math.sqrt(math.pi) / 15.0, rel=1e-12)
-
-    def test_poles(self):
-        for x in (0.0, -1.0, -7.0):
-            with pytest.raises(DomainError):
-                gamma(x)
-
-    def test_non_finite(self):
-        with pytest.raises(DomainError):
-            gamma(float("nan"))
-
-    def test_overflow(self):
-        with pytest.raises(OverflowError):
-            gamma(200.0)
 
 
 class TestMlOne:
@@ -127,22 +103,27 @@ class TestMlOne:
             ml_one(-0.5, 1.0)
 
     def test_deep_cancellation(self):
-        # float64 summation alone loses ~26 digits here; requires escalation
+        # float64 summation would lose ~26 digits here; the point goes to exp
         assert float(ml_one(1.0, -30.0)) == pytest.approx(math.exp(-30.0), rel=1e-10)
 
     def test_half_is_erfcx(self):
         # E_{1/2}(-x) = exp(x^2) erfc(x)
         x = np.linspace(0.0, 30.0, 301)
         want = erfcx(x)
-        # the whole array overflows the float64 series and goes to the contour
-        assert np.asarray(ml_one(0.5, -x)) == pytest.approx(want, rel=1e-12)
-        got = np.array([ml_one(0.5, -xi) for xi in x])
-        rel = np.abs(got - want) / want
-        # one point at a time, the float64 sum is kept below x ~ 3.45, where
-        # it cancels at most five digits; its stated error there is 1e-9
-        kept = x < 3.45
-        assert np.all(rel[~kept] <= 1e-12)
-        assert np.all(rel[kept] <= 1e-9)
+        got = np.asarray(ml_one(0.5, -x))
+        assert got == pytest.approx(want, rel=1e-12)
+        # each point takes the route its own argument picks, array or scalar
+        assert np.array_equal(got, [ml_one(0.5, -xi) for xi in x])
+
+    def test_scalar_past_the_cut_is_fast(self):
+        # a point past the cut costs one 27-node contour sum and no series loop
+        ml_one(0.5, -20.0)
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            ml_one(0.5, -20.0)
+            best = min(best, time.perf_counter() - start)
+        assert best < 2e-3
 
     def test_exact_alpha_past_cancellation(self):
         # float64 gamma arguments gave 0.013770 and -180.5 here
@@ -186,6 +167,24 @@ class TestMlTwo:
         want = ML_NEGATIVE_GRID[alpha, beta]
         assert np.asarray(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-12)
         assert [ml_two(alpha, beta, zi) for zi in z] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", sorted(ML_AT_CUT))
+    def test_both_sides_of_the_cut(self, alpha):
+        # the series is summed just inside the cut, the contour takes over
+        # just past it; b < a is left out (near its zeros the series alone
+        # carries about 7e-12)
+        cut = -(specfun._CUT**alpha)
+        z = np.array([0.999, 1.001]) * cut
+        assert z[0] > cut >= z[1]
+        for beta, want in zip((alpha, 1.0, 1.0 + alpha), ML_AT_CUT[alpha]):
+            assert np.asarray(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-12, abs=0)
+            assert [ml_two(alpha, beta, zi) for zi in z] == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_tiny_alpha_near_the_cut_raises(self):
+        # below a ~ 0.014 the series just above the cut needs more than its
+        # 2,000 terms; the truncated sum is not returned
+        with pytest.raises(ConvergenceError):
+            ml_two(0.01, 1.0, -1.005)
 
     def test_exact_beta_off_contour(self):
         # b > 1 + a is outside the contour region, so these are summed by
