@@ -9,13 +9,13 @@ are evaluated by one of three routes, chosen for each point from (a, b, z)
 before any sum:
 
 - z <= -c^a with 0 < a <= 1, 0 < b <= 1 + a (the kernel region: every
-  kernel, kernel-derivative and defect evaluation), c = _CUT: Garrappa's
-  optimal parabolic contour (OPC) for the inverse Laplace transform of
-  s^(a-b) / (s^a - z), in float64 (R. Garrappa, SIAM J. Numer. Anal. 53(3),
-  2015), or exp(z) at a = b = 1.  One fixed 27-node half contour serves
-  every z.  It evaluates E_{a,b-a}(z), and E_{a,b}(z) =
-  (E_{a,b-a}(z) - 1/Gamma(b-a)) / z makes the leading -1/(z Gamma(b-a)) of
-  the large-|z| expansion exact.
+  kernel, kernel-derivative and defect evaluation), c = _CUT, and every
+  z <= 0 of that region when a < 0.1: Garrappa's optimal parabolic contour
+  (OPC) for the inverse Laplace transform of s^(a-b) / (s^a - z), in
+  float64 (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015), or exp(z) at
+  a = b = 1.  One fixed 27-node half contour serves every z.  For z <= -1
+  it evaluates E_{a,b-a}(z), and E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))
+  / z makes the leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.
 - every other point: the power series in float64.  In the kernel region the
   cut bounds the digits it loses to cancellation (at most 2.4 for b >= a >=
   0.1), and the sum is kept.
@@ -26,10 +26,10 @@ before any sum:
   on z decides these in advance (for example near the real zeros at a > 1).
 
 In the kernel region the measured relative error against exact-parameter
-sums is at most 1e-12 for 0.1 <= a <= 0.99 and b >= a; it grows as (a, b)
-nears (1, 1), where the function tends to e^z (6e-12 at a = b = 0.999,
-z = -50).  Below a ~ 0.014 the series near the cut needs more than 2,000
-terms, and those points raise ConvergenceError.
+values is at most about 1e-12 for 0.001 <= a <= 0.99 and b >= a; it grows
+as (a, b) nears (1, 1), where the function tends to e^z (6e-12 at
+a = b = 0.999, z = -50), and at a = b -> 0, where E_{a,a} shrinks like a
+(1e-10 at a = b = 1e-5, an absolute 3e-16).
 The discount kernel built on top of them is
 
     kernel(t) = E_a(lam * t**a),
@@ -60,6 +60,10 @@ __all__ = [
 # the series' largest term, about exp(|z|^(1/a)), exceeds the sum by at most
 # 1.5 decimal digits for b >= 1 and 2.4 for b = a >= 0.1.
 _CUT = 2.3
+# Below this order the series near |z| = 1 needs more than _MAX_TERMS terms
+# (from a ~ 0.013 down), so there every z <= 0 of the kernel region goes to
+# the contour.
+_SERIES_MIN_ALPHA = 0.1
 # Elsewhere a float64 sum that loses more than this many decimal digits to
 # cancellation between the largest term and the final sum goes to mpmath.
 _ESCALATE_DIGITS = 5.0
@@ -223,41 +227,42 @@ def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ml_far(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) in float64 for 1-D z <= -1, 0 < alpha <= 1, 0 < beta <= 1 + alpha."""
+def _ml_nonpositive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) in float64 for 1-D z <= 0, 0 < alpha <= 1, 0 < beta <= 1 + alpha."""
     if alpha == 1.0 and beta == 1.0:
         return np.exp(z)
+    out = np.empty_like(z)
+    far = z <= -1.0
+    out[~far] = _contour_sum(alpha, beta, z[~far])
     # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z: the leading term of the
     # large-|z| expansion, -1/(z Gamma(b-a)), is then exact, and the contour
     # sum keeps its relative accuracy where that term is small or zero (b = a).
     # b - a lies in (-1, 1], so its only gamma pole is 0.
     lead = 0.0 if beta == alpha else 1.0 / math.gamma(beta - alpha)
-    return (_contour_sum(alpha, beta - alpha, z) - lead) / z
+    zf = z[far]
+    out[far] = (_contour_sum(alpha, beta - alpha, zf) - lead) / zf
+    return out
 
 
 def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(z), each point routed by (alpha, beta, z) alone."""
     out = np.empty_like(z)
-    kernel_region = 0.0 < alpha <= 1.0 and beta <= 1.0 + alpha
-    summed = z > -(_CUT**alpha) if kernel_region else np.ones(z.shape, dtype=bool)
-    if not summed.all():
-        out[~summed] = _ml_far(alpha, beta, z[~summed])
-    zs = z[summed]
+    rest = np.ones(z.shape, dtype=bool)
+    if 0.0 < alpha <= 1.0 and beta <= 1.0 + alpha:
+        cut = -(_CUT**alpha) if alpha >= _SERIES_MIN_ALPHA else 0.0
+        far = z <= cut
+        out[far] = _ml_nonpositive(alpha, beta, z[far])
+        near = ~far & (z <= 0.0)
+        # |z| < c^a with a >= 0.1: the terms shrink from n ~ 2.3 / a on, the
+        # sum ends well inside _MAX_TERMS and is kept as summed
+        out[near] = _series_float(alpha, beta, z[near])[0]
+        rest = z > 0.0
+    zs = z[rest]
     total, peak, ok = _series_float(alpha, beta, zs)
     redo = (peak > 10.0**_ESCALATE_DIGITS * np.abs(total)) | (not ok)
-    if kernel_region:
-        kept = zs <= 0.0
-        if not ok and kept.any():
-            # a kept sum is never escalated; it gives up below alpha ~ 0.014,
-            # where terms near the cut outlast _MAX_TERMS, or when a z > 0
-            # point of the same array overflows
-            raise ConvergenceError(
-                f"Mittag-Leffler series not converged in {_MAX_TERMS} terms (alpha={alpha:g}, beta={beta:g})"
-            )
-        redo &= ~kept
     for j in np.flatnonzero(redo):
         total[j] = _series_mp(alpha, beta, float(zs[j]), dps=30)
-    out[summed] = total
+    out[rest] = total
     return out
 
 

@@ -50,6 +50,13 @@ ML_AT_CUT = {
     0.99: ((0.10034701763380065, 0.09989219177695273), (0.10566089413756495, 0.10519955135713482),
            (0.39248781216269957, 0.3919056801458692)),
 }
+# E_{a,b}(z) below a = 0.1, where every z <= 0 takes the contour, for
+# b = a, 1, 1 + a (the series at a = 0.01 near z = -1.005 outlasts 2,000 terms)
+ML_SMALL_ALPHA = {
+    (0.01, -1.005): (0.002487592490947435, 0.4973100408776769, 0.5001890140520628),
+    (0.01, -0.5): (0.004453093060344984, 0.6653888206397369, 0.6692223587205262),
+    (0.001, -0.999): (0.00025025034195216833, 0.5001058212591935, 0.5003945733141206),
+}
 # E_{a,b}(z) at z = -10, -30, -100 for b = 1 and b = a
 ML_NEGATIVE_GRID = {
     (0.3, 1.0): (0.07264972907277209, 0.025182617502927662, 0.007658856222286642),
@@ -136,6 +143,12 @@ class TestMlOne:
         for zi, vi in zip(z, vec):
             assert vi == float(ml_one(0.7, float(zi)))
 
+    def test_mixed_signs_are_summed_apart(self):
+        # the z > 0 point's terms outgrow float64 and go to mpmath; the z <= 0
+        # point keeps its own float64 sum
+        z = np.array([-1.0, 26.0])
+        assert np.array_equal(ml_one(0.5, z), [ml_one(0.5, zi) for zi in z])
+
     def test_exhaustion(self):
         # the terms of E_0.5(40) peak near n = 3200, past the 2,000-term budget
         with pytest.raises(ConvergenceError):
@@ -180,11 +193,10 @@ class TestMlTwo:
             assert np.asarray(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-12, abs=0)
             assert [ml_two(alpha, beta, zi) for zi in z] == pytest.approx(want, rel=1e-12, abs=0)
 
-    def test_tiny_alpha_near_the_cut_raises(self):
-        # below a ~ 0.014 the series just above the cut needs more than its
-        # 2,000 terms; the truncated sum is not returned
-        with pytest.raises(ConvergenceError):
-            ml_two(0.01, 1.0, -1.005)
+    @pytest.mark.parametrize("alpha, z", sorted(ML_SMALL_ALPHA))
+    def test_small_alpha_takes_the_contour(self, alpha, z):
+        for beta, want in zip((alpha, 1.0, 1.0 + alpha), ML_SMALL_ALPHA[alpha, z]):
+            assert float(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_exact_beta_off_contour(self):
         # b > 1 + a is outside the contour region, so these are summed by
