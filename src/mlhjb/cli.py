@@ -174,6 +174,8 @@ def _load_config(path: str) -> dict[str, str]:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path!r} is not UTF-8 text")
     out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -348,35 +350,41 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# ASCII characters other than "\n" at which str.splitlines() also ends a line
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
+# ASCII bytes other than "\n" at which str.splitlines() also ends a line
+_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _policy_rows(path: str, text: str, dim_x: int) -> np.ndarray:
-    """The data rows of a policy file's ``text``, checked against its header.
+def _policy_rows(path: str, raw: bytes, dim_x: int) -> np.ndarray:
+    """The data rows of a policy file's bytes ``raw``, checked against its header.
 
-    Plain ASCII lines ending in "\n" are parsed in C by np.loadtxt, which
-    converts a cell to the value float() gives or rejects it.  Its result
-    stands when every line gave one row as wide as a valid header; any
-    other text (blank lines, which loadtxt skips; cells such as "1_0", which
-    only float() reads; other line ends) goes through the line checks below.
+    Plain ASCII lines ending in "\n" are parsed in C by np.loadtxt, straight
+    from ``raw``, which converts a cell to the value float() gives or rejects
+    it.  Its result stands when every line gave one row as wide as a valid
+    header; any other text (blank lines, which loadtxt skips; cells such as
+    "1_0", which only float() reads; other line ends) is decoded and goes
+    through the line checks below.
     """
-    head, _, body = text.partition("\n")
-    header = head.split(",")
+    end = raw.find(b"\n")
+    header = raw[: max(end, 0)].split(b",")
     if (
         len(header) >= dim_x + 2
-        and header[0] == "t"
-        and body[:1] not in ("", "\n")  # blank lines only: loadtxt finds no row and warns
-        and text.isascii()
-        and not any(c in text for c in _OTHER_BREAKS)
+        and header[0] == b"t"
+        and raw[end + 1 : end + 2] not in (b"", b"\n")  # blank lines only: loadtxt finds no row and warns
+        and raw.isascii()
+        and not any(c in raw for c in _OTHER_BREAKS)
     ):
         try:
-            data = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
+            # BytesIO shares raw's buffer rather than copying it
+            data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, skiprows=1)
         except ValueError:
             pass
         else:
-            if data.shape == (body.count("\n") + (not body.endswith("\n")), len(header)):
+            if data.shape == (raw.count(b"\n") - raw.endswith(b"\n"), len(header)):
                 return data
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"policy file {path!r} is not UTF-8 text")
     lines = text.splitlines()
     if len(lines) < 2:
         raise ConfigError(f"policy file {path!r} has no data rows")
@@ -398,26 +406,32 @@ def _read_policy(path: str, dim_x: int):
     from .hjb import Policy
 
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read policy file {path!r}: {exc}")
-    data = _policy_rows(path, text, dim_x)
+    data = _policy_rows(path, raw, dim_x)
+    del raw  # the table holds all that the index needs
     tvals = np.unique(data[:, 0])
     axes = [np.unique(data[:, 1 + d]) for d in range(dim_x)]
     shape = (len(tvals),) + tuple(len(ax) for ax in axes)
     expected = int(np.prod(shape))
     if data.shape[0] != expected:
         raise ConfigError(f"policy file {path!r} does not cover a full (t, x) grid")
-    it = np.searchsorted(tvals, data[:, 0])
-    node = tuple(np.searchsorted(axes[d], data[:, 1 + d]) for d in range(dim_x))
+    # row-major flat index of each row's (t, x...) node, built in place
+    flat = np.searchsorted(tvals, data[:, 0])
+    for d, ax in enumerate(axes):
+        flat *= len(ax)
+        flat += np.searchsorted(ax, data[:, 1 + d])
     # each node points at its own row; with the row count already equal to
     # the node count, a node left unset means another one is listed twice
     controls = np.full(expected, -1, dtype=np.intp)
-    controls[np.ravel_multi_index((it, *node), shape)] = np.arange(expected)
+    controls[flat] = np.arange(expected)
     if np.any(controls < 0):
         raise ConfigError(f"policy file {path!r} repeats a (t, x) node")
-    return Policy(controls=controls.reshape(shape), control_grid=data[:, 1 + dim_x :], times=tvals, axes=tuple(axes))
+    # a copy of the control columns, so that the table itself can be freed
+    control_grid = data[:, 1 + dim_x :].copy()
+    return Policy(controls=controls.reshape(shape), control_grid=control_grid, times=tvals, axes=tuple(axes))
 
 
 def _cmd_cost(args) -> int:

@@ -246,6 +246,9 @@ def _ml_nonpositive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     """E_{alpha,beta}(z), each point routed by (alpha, beta, z) alone."""
+    if alpha == 0.0:
+        # only ml_one gets here at alpha = 0, with |z| < 1: the geometric series
+        return 1.0 / (1.0 - z)
     out = np.empty_like(z)
     rest = np.ones(z.shape, dtype=bool)
     if 0.0 < alpha <= 1.0 and beta <= 1.0 + alpha:
@@ -279,8 +282,8 @@ def _eval_series(alpha: float, beta: float, z):
 def ml_one(alpha: float, z):
     """One-parameter Mittag-Leffler function E_alpha(z).
 
-    ``z`` may be a scalar or an array.  ``alpha = 0`` is the geometric series
-    1/(1 - z), valid only for ``|z| < 1``.
+    ``z`` may be a scalar or an array.  ``alpha = 0`` is the geometric series,
+    evaluated in closed form as 1/(1 - z) and valid only for ``|z| < 1``.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha) or alpha < 0.0:

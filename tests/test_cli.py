@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,46 @@ class TestConfigFile:
         assert out == "2.718281828459\n"
 
 
+def _seeded_policy(path, dim_x, seed, newline="\n"):
+    """Write a seeded t,x...,u policy file with shuffled rows; return its text.
+
+    Node values are written once each in one of three float formats, and the
+    controls, a stabilizing feedback plus noise, in a format drawn per row.
+    """
+    rng = np.random.default_rng([seed, dim_x])
+    fmts = (repr, "{:.12g}".format, "{:.6e}".format)
+    nt, nx = (21, 41) if dim_x == 1 else (11, 9)
+    times = np.linspace(0.0, 1.0, nt) + rng.uniform(0.0, 0.01, nt) * (np.arange(nt) > 0)
+    axes = [np.sort(rng.uniform(-2.0, 2.0, nx)) for _ in range(dim_x)]
+    cols = [[fmts[k](v) for k, v in zip(rng.integers(0, 3, len(vals)), vals.tolist())] for vals in (times, *axes)]
+    nodes = np.stack(np.meshgrid(*[np.arange(len(c)) for c in cols], indexing="ij"), axis=-1).reshape(-1, 1 + dim_x)
+    rows = []
+    for node in rng.permutation(nodes):
+        x = np.array([axes[d][node[1 + d]] for d in range(dim_x)])
+        u = float(np.clip(-1.2 * x.sum() + rng.normal(0.0, 0.05), -1.0, 1.0))
+        rows.append(",".join([*(cols[d][i] for d, i in enumerate(node)), fmts[rng.integers(0, 3)](u)]))
+    xcols = ["x"] if dim_x == 1 else ["x1", "x2"]
+    text = newline.join([",".join(["t", *xcols, "u"]), *rows]) + newline
+    path.write_bytes(text.encode("ascii"))
+    return text
+
+
+def _policy_by_float(text, dim_x):
+    """(controls, control_grid, times, axes) of a policy file, each cell read by float()."""
+    rows = [[float(c) for c in line.split(",")] for line in text.splitlines()[1:]]
+    nodes = [sorted({row[d] for row in rows}) for d in range(1 + dim_x)]
+    where = [{v: i for i, v in enumerate(vals)} for vals in nodes]
+    controls = np.full([len(vals) for vals in nodes], -1, dtype=np.intp)
+    for r, row in enumerate(rows):
+        controls[tuple(where[d][row[d]] for d in range(1 + dim_x))] = r
+    grid = np.array([row[1 + dim_x :] for row in rows])
+    return controls, grid, np.array(nodes[0]), tuple(np.array(vals) for vals in nodes[1:])
+
+
+# frozen `cost --policy` stdout on the seeded files
+_SEEDED_COST = {1: "0.096650187214\n", 2: "0.161939875678\n"}
+
+
 class TestCost:
     def test_zero_cost_line(self, capsys):
         code, out, _ = run(["cost", "--problem", "zero1d"], capsys)
@@ -536,6 +577,52 @@ class TestCost:
         want = np.array([float(c) for c in cells])
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("dim_x, newline", [(1, "\n"), (2, "\n"), (1, "\r\n")], ids=["1d", "2d", "1d-crlf"])
+    def test_policy_reads_as_float_reference(self, dim_x, newline, capsys, tmp_path):
+        # the crlf file takes the decoded fallback path, the others np.loadtxt
+        path = tmp_path / "policy.csv"
+        text = _seeded_policy(path, dim_x, seed=7, newline=newline)
+        got = cli._read_policy(str(path), dim_x)
+        controls, grid, times, axes = _policy_by_float(text, dim_x)
+        for a, b in zip((got.controls, got.control_grid, got.times, *got.axes), (controls, grid, times, *axes)):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        problem = "lq1d" if dim_x == 1 else "osc2d"
+        x0 = "0.5" if dim_x == 1 else "0.5,-0.25"
+        argv = ["cost", "--problem", problem, "--alpha", "0.8", "--policy", str(path), "--dt", "0.01", "--horizon", "1", "--x0=" + x0]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out == _SEEDED_COST[dim_x]
+
+    def test_policy_read_holds_about_one_copy(self, tmp_path):
+        # 201 x 30 x 30 = 180,900 rows, about 4 MB
+        import mlhjb.hjb  # noqa: F401  (loaded by the read; not counted in its peak)
+
+        times, axis = np.linspace(0.0, 2.0, 201), np.linspace(-2.0, 2.0, 30)
+        t, x1, x2 = (g.ravel() for g in np.meshgrid(times, axis, axis, indexing="ij"))
+        path = tmp_path / "policy.csv"
+        np.savetxt(path, np.column_stack([t, x1, x2, np.clip(-x1 - x2, -1.0, 1.0)]), fmt="%.6g",
+                   delimiter=",", header="t,x1,x2,u", comments="")
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            policy = cli._read_policy(str(path), 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * size, f"peak {peak / size:.2f} x the file's {size} bytes"
+        assert policy.control_grid.base is None
+        assert policy.control_grid.shape == (t.size, 1)
+
+    @pytest.mark.parametrize("kind", ["policy", "config"])
+    def test_non_utf8_file_exits_2(self, kind, capsys, tmp_path):
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(b"t,x,u\n0,-2,0.1\xff\n0,2,0.1\n" if kind == "policy" else b"alpha = 0.8 # \xff\n")
+        code, out, err = run(["cost", "--problem", "zero1d", f"--{kind}", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: {kind} file {str(path)!r} is not UTF-8 text\n"
 
     def test_header_only_policy_exits_2(self, capsys, tmp_path):
         path = tmp_path / "policy.csv"

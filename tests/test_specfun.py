@@ -85,6 +85,12 @@ class TestMlOne:
         for z in np.linspace(-0.95, 0.95, 39):
             assert abs(float(ml_one(0.0, z)) - 1.0 / (1.0 - z)) <= 1e-12 / (1.0 - abs(z))
 
+    def test_geometric_is_closed_form(self):
+        # up to |z| = 0.9999, where a term-by-term sum would need over 2,000 terms
+        z = np.linspace(-0.9999, 0.9999, 2001)
+        assert np.array_equal(ml_one(0.0, z), 1.0 / (1.0 - z))
+        assert ml_one(0.0, 0.95) == 1.0 / (1.0 - 0.95)
+
     def test_geometric_paper_point(self):
         assert float(ml_one(0.0, 0.5)) == pytest.approx(2.0, rel=1e-13)
 
