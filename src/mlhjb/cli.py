@@ -17,8 +17,8 @@ the default output directory for `solve` when --out is absent.
 Importing this module and building the parser load only the package's
 ``errors``, ``specfun`` and ``catalog`` modules (the last for its problem
 names, without the solvers).  A command imports the rest on first use:
-``verify`` the defect quadrature (and ``csv``), ``solve`` and ``cost`` the
-solvers (``hjb``, which loads ``fracderiv``).
+``verify`` the defect quadrature, ``solve`` and ``cost`` the solvers
+(``hjb``, which loads ``fracderiv``).
 """
 
 from __future__ import annotations
@@ -228,8 +228,6 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    import csv
-
     from .defect import QuadratureConfig
 
     delta_ml = _resolve("delta_ml")
@@ -252,15 +250,9 @@ def _cmd_verify(args) -> int:
         resid = kt * ks - delta - kts
         worst = max(worst, abs(resid))
         rows.append((args.t, s, kt * ks, delta, kts, resid))
-    target = _create(args.out) if args.out else sys.stdout
-    try:
-        writer = csv.writer(target, lineterminator="\n")
-        writer.writerow(["t", "s", "product", "delta", "composed", "residual"])
-        for row in rows:
-            writer.writerow([_fmt_csv(v) for v in row])
-    finally:
-        if args.out:
-            target.close()
+    lines = ["t,s,product,delta,composed,residual", *(",".join(map(_fmt_csv, row)) for row in rows)]
+    with _create(args.out) if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write("\n".join(lines) + "\n")
     return EXIT_OK if worst <= args.tol else EXIT_TOLERANCE
 
 
@@ -350,36 +342,34 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# ASCII bytes other than "\n" at which str.splitlines() also ends a line
-_OTHER_BREAKS = b"\r\x0b\x0c\x1c\x1d\x1e"
+# ASCII bytes at which str.splitlines() ends a line but a policy file may not
+_BREAKS = b"\x0b\x0c\x1c\x1d\x1e"
 
 
-def _policy_rows(path: str, raw: bytes, dim_x: int) -> np.ndarray:
+def _policy_rows(path: str, raw: bytes, dim_x: int, dim_u: int) -> np.ndarray:
     """The data rows of a policy file's bytes ``raw``, checked against its header.
 
-    Plain ASCII lines ending in "\n" are parsed in C by np.loadtxt, straight
-    from ``raw``, which converts a cell to the value float() gives or rejects
-    it.  Its result stands when every line gave one row as wide as a valid
-    header; any other text (blank lines, which loadtxt skips; cells such as
-    "1_0", which only float() reads; other line ends) is decoded and goes
-    through the line checks below.
+    An ASCII file whose lines end in "\n" or "\r\n" and whose header is
+    (t, x..., u...) is parsed in C by np.loadtxt, straight from ``raw``, which
+    converts a cell to the value float() gives or rejects it.  Any other file,
+    or one that loadtxt rejects or reads as too few rows (it skips blank
+    lines), is decoded only to pick the error message.
     """
+    width = 1 + dim_x + dim_u
     end = raw.find(b"\n")
-    header = raw[: max(end, 0)].split(b",")
+    header = raw[: max(end, 0)].removesuffix(b"\r").split(b",")
     if (
-        len(header) >= dim_x + 2
+        len(header) == width
         and header[0] == b"t"
-        and raw[end + 1 : end + 2] not in (b"", b"\n")  # blank lines only: loadtxt finds no row and warns
+        and raw[end + 1 : end + 2] not in (b"", b"\n", b"\r")  # blank lines only: loadtxt finds no row and warns
         and raw.isascii()
-        and not any(c in raw for c in _OTHER_BREAKS)
+        and (b"\r" not in raw or raw.count(b"\r") == raw.count(b"\r\n"))
+        and not any(c in raw for c in _BREAKS)
     ):
-        try:
+        with contextlib.suppress(ValueError):
             # BytesIO shares raw's buffer rather than copying it
             data = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2, skiprows=1)
-        except ValueError:
-            pass
-        else:
-            if data.shape == (raw.count(b"\n") - raw.endswith(b"\n"), len(header)):
+            if data.shape == (raw.count(b"\n") - raw.endswith(b"\n"), width):
                 return data
     try:
         text = raw.decode("utf-8")
@@ -391,18 +381,17 @@ def _policy_rows(path: str, raw: bytes, dim_x: int) -> np.ndarray:
     header = lines[0].split(",")
     widths = {line.count(",") + 1 for line in lines[1:]}
     # rows all of one width that is not the header's: the header is wrong
-    if len(header) < dim_x + 2 or header[0] != "t" or (len(widths) == 1 and widths != {len(header)}):
+    if len(header) != width or header[0] != "t" or (len(widths) == 1 and widths != {width}):
         raise ConfigError(f"policy file {path!r} header {header!r} does not match (t, x..., u...)")
     if len(widths) > 1:
         raise ConfigError(f"policy file {path!r} has ragged rows")
-    try:
-        # numpy parses each cell as float() does, -0, nan and inf included
-        return np.array(",".join(lines[1:]).split(","), dtype=float).reshape(len(lines) - 1, len(header))
-    except ValueError:
-        raise ConfigError(f"policy file {path!r} contains non-numeric cells")
+    if "\r" in text.replace("\r\n", ""):
+        raise ConfigError(f"policy file {path!r} has a line end other than LF or CRLF")
+    raise ConfigError(f"policy file {path!r} contains non-numeric cells")
 
 
-def _read_policy(path: str, dim_x: int):
+def _read_policy(path: str, dim_x: int, dim_u: int = 1):
+    """The policy file at ``path`` for a problem with ``dim_x`` states and ``dim_u`` controls."""
     from .hjb import Policy
 
     try:
@@ -410,7 +399,7 @@ def _read_policy(path: str, dim_x: int):
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read policy file {path!r}: {exc}")
-    data = _policy_rows(path, raw, dim_x)
+    data = _policy_rows(path, raw, dim_x, dim_u)
     del raw  # the table holds all that the index needs
     tvals = np.unique(data[:, 0])
     axes = [np.unique(data[:, 1 + d]) for d in range(dim_x)]
@@ -450,7 +439,7 @@ def _cmd_cost(args) -> int:
     if args.feedback not in ("zero", "lqr"):
         raise ConfigError(f"unknown feedback law {args.feedback!r}")
     if args.policy is not None:
-        law = _read_policy(args.policy, entry.problem.dim_x)
+        law = _read_policy(args.policy, entry.problem.dim_x, entry.problem.controls.shape[1])
     elif args.feedback == "lqr":
         if args.problem != "lq1d":
             raise ConfigError("--feedback lqr is defined only for the lq1d problem")

@@ -549,18 +549,31 @@ class TestCost:
             ("t,x,u\n0,-2,0.1\n\n0,2,0.1\n", "ragged rows"),
             ("t,x,u\n0,-2,0.1\n0,2,0.1\n\n", "ragged rows"),
             ("t,x,u\n0,-2,0.1\x0c\n0,2,0.1\n", "ragged rows"),
+            # float() reads these cells, np.loadtxt does not
+            ("t,x,u\n0,-2,0.1\n0,2,1_0\n", "non-numeric"),
+            ("t,x,u\n0,-2,0.1\n0,2,\u0661\n", "non-numeric"),
+            ("t,x,u\r0,-2,0.1\r0,2,0.1\r", "line end other than LF or CRLF"),
+            # latin-1 bytes, which np.loadtxt alone would read
+            (b"t,x,u\n0,-2,0.1\xa0\n0,2,0.1\n", "is not UTF-8 text"),
+            (b"t,x,u\xff\n0,-2,0.1\n0,2,0.1\n", "is not UTF-8 text"),
+            # lq1d has one state and one control: neither x2 nor u2 may be read as its control
+            ("t,x1,x2,u\n0,-2,-2,0.1\n0,-2,2,0.1\n0,2,-2,0.1\n0,2,2,0.1\n", "does not match"),
+            ("t,x,u1,u2\n0,-2,0.1,0.3\n0,2,0.1,0.3\n", "does not match"),
         ],
-        ids=["all-short", "all-long", "short-row", "long-row", "non-numeric", "blank-line", "blank-last", "form-feed"],
+        ids=[
+            "all-short", "all-long", "short-row", "long-row", "non-numeric", "blank-line", "blank-last", "form-feed",
+            "underscore", "arabic-indic-digit", "lone-cr", "latin-1-cell", "latin-1-header", "osc2d-file", "extra-control",
+        ],
     )
     def test_policy_row_errors_exit_2(self, text, message, capsys, tmp_path):
         path = tmp_path / "policy.csv"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         code, _, err = run(["cost", "--policy", str(path)], capsys)
         assert code == 2
         assert message in err
 
     def test_policy_cells_parse_as_float(self, tmp_path):
-        cells = ["-0", "1e-300", "0.1", "-2.5e3", "1_0", " 7 "]
+        cells = ["-0", "1e-300", "0.1", "-2.5e3", " 7 "]
         path = tmp_path / "policy.csv"
         path.write_text("t,x,u\n" + "".join(f"0,{k},{c}\n" for k, c in enumerate(cells)))
         got = cli._read_policy(str(path), 1).control_grid[:, 0]
@@ -578,9 +591,11 @@ class TestCost:
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
-    @pytest.mark.parametrize("dim_x, newline", [(1, "\n"), (2, "\n"), (1, "\r\n")], ids=["1d", "2d", "1d-crlf"])
+    @pytest.mark.parametrize(
+        "dim_x, newline", [(1, "\n"), (2, "\n"), (1, "\r\n"), (2, "\r\n")], ids=["1d", "2d", "1d-crlf", "2d-crlf"]
+    )
     def test_policy_reads_as_float_reference(self, dim_x, newline, capsys, tmp_path):
-        # the crlf file takes the decoded fallback path, the others np.loadtxt
+        # np.loadtxt parses LF and CRLF files alike
         path = tmp_path / "policy.csv"
         text = _seeded_policy(path, dim_x, seed=7, newline=newline)
         got = cli._read_policy(str(path), dim_x)
@@ -595,7 +610,8 @@ class TestCost:
         assert (code, err) == (0, "")
         assert out == _SEEDED_COST[dim_x]
 
-    def test_policy_read_holds_about_one_copy(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_policy_read_holds_about_one_copy(self, newline, tmp_path):
         # 201 x 30 x 30 = 180,900 rows, about 4 MB
         import mlhjb.hjb  # noqa: F401  (loaded by the read; not counted in its peak)
 
@@ -603,7 +619,7 @@ class TestCost:
         t, x1, x2 = (g.ravel() for g in np.meshgrid(times, axis, axis, indexing="ij"))
         path = tmp_path / "policy.csv"
         np.savetxt(path, np.column_stack([t, x1, x2, np.clip(-x1 - x2, -1.0, 1.0)]), fmt="%.6g",
-                   delimiter=",", header="t,x1,x2,u", comments="")
+                   delimiter=",", newline=newline, header="t,x1,x2,u", comments="")
         size = os.path.getsize(path)
         tracemalloc.start()
         try:
@@ -680,7 +696,7 @@ class TestImports:
         [
             ([], _HEAVY),
             (["ml", "--z", "1"], ("mlhjb.hjb", "mlhjb.fracderiv", "mlhjb.defect", "numpy.polynomial", "csv")),
-            (["verify", "--alpha", "0.5", "--s", "0.5"], ("mlhjb.hjb", "mlhjb.fracderiv")),
+            (["verify", "--alpha", "0.5", "--s", "0.5"], ("mlhjb.hjb", "mlhjb.fracderiv", "csv")),
             (["cost", "--problem", "zero1d"], ("mlhjb.defect", "numpy.polynomial", "csv")),
         ],
         ids=["import", "ml", "verify", "cost"],
