@@ -5,31 +5,39 @@ The one- and two-parameter Mittag-Leffler functions
     E_a(z)   = sum_{n>=0} z^n / Gamma(a n + 1),
     E_{a,b}(z) = sum_{n>=0} z^n / Gamma(a n + b)
 
-are evaluated by one of three routes, chosen for each point from (a, b, z)
-before any sum:
+are evaluated in float64 by one of four routes, chosen for each point from
+(a, b, z) before any sum:
 
-- z <= -c^a with 0 < a <= 1, 0 < b <= 1 + a (the kernel region: every
-  kernel, kernel-derivative and defect evaluation), c = _CUT, and every
-  z <= 0 of that region when a < 0.1: Garrappa's optimal parabolic contour
-  (OPC) for the inverse Laplace transform of s^(a-b) / (s^a - z), in
-  float64 (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015), or exp(z) at
-  a = b = 1.  One fixed 27-node half contour serves every z.  For z <= -1
-  it evaluates E_{a,b-a}(z), and E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a))
-  / z makes the leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.
-- every other point: the power series in float64.  In the kernel region the
-  cut bounds the digits it loses to cancellation (at most 2.4 for b >= a >=
-  0.1), and the sum is kept.
-- a point outside the kernel region, or with z > 0, whose float64 sum
-  cancels more than five digits, overflows or does not converge within
-  2,000 terms: the series summed by mpmath at a working precision that
-  covers the cancellation, with a and b converted to mpf exactly.  No test
-  on z decides these in advance (for example near the real zeros at a > 1).
+- the kernel region, 0 < a <= 1 and 0 < b <= 1 + a (every kernel,
+  kernel-derivative and defect evaluation), at z <= -c^a, c = _CUT, and at
+  every z <= 0 when a < 0.1: Garrappa's optimal parabolic contour (OPC) for
+  the inverse Laplace transform of s^(a-b) / (s^a - z) (R. Garrappa, SIAM
+  J. Numer. Anal. 53(3), 2015), or exp(z) at a = b = 1.  One fixed 27-node
+  half contour serves every z.  For z <= -1 it evaluates E_{a,b-a}(z), and
+  E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z makes the leading
+  -1/(z Gamma(b-a)) of the large-|z| expansion exact.  Its other z <= 0 go
+  to the power series, which there cancels at most 2.4 digits for
+  b >= a >= 0.1.
+- b > 1 + a with 0 < a <= 1 and z <= -1: the same identity, applied until
+  b <= 1 + a.  At -1 < z <= 0 the power series, whose terms shrink from
+  the start.
+- z > 0 with 0 < a <= 1: the power series, whose terms are all positive.  A
+  point whose own sum overflows or runs past 2,000 terms takes the pole
+  residue (1/a) z^((1-b)/a) e^(z^(1/a)), once e^(z^(1/a)) exceeds 1/eps;
+  a residue that is not finite raises ConvergenceError.
+- anything else (a > 1): the power series, kept if it loses at most five
+  digits to cancellation; otherwise ConvergenceError.  So for a > 1 the
+  domain ends short of the cancelling z < 0, for example E_2(-1000).
 
 In the kernel region the measured relative error against exact-parameter
 values is at most about 1e-12 for 0.001 <= a <= 0.99 and b >= a; it grows
 as (a, b) nears (1, 1), where the function tends to e^z (6e-12 at
 a = b = 0.999, z = -50), and at a = b -> 0, where E_{a,a} shrinks like a
-(1e-10 at a = b = 1e-5, an absolute 3e-16).
+(1e-10 at a = b = 1e-5, an absolute 3e-16).  Outside it, against
+exact-parameter sums on grids: the b > 1 + a route within 2e-14 (a from
+0.05 to 1, b up to 5, z from -1 to -1000), the z > 0 route within 1e-13
+(a from 0.01 to 1, b up to 3, z up to 600 or float64 overflow), and the
+kept a > 1 sums within 1.2e-10 (a from 1.2 to 3, b up to 3, |z| <= 50).
 The discount kernel built on top of them is
 
     kernel(t) = E_a(lam * t**a),
@@ -64,13 +72,14 @@ _CUT = 2.3
 # (from a ~ 0.013 down), so there every z <= 0 of the kernel region goes to
 # the contour.
 _SERIES_MIN_ALPHA = 0.1
-# Elsewhere a float64 sum that loses more than this many decimal digits to
-# cancellation between the largest term and the final sum goes to mpmath.
-_ESCALATE_DIGITS = 5.0
+# At z > 0 or a > 1, a float64 sum whose largest term exceeds the final sum
+# by more than this factor (five digits lost to cancellation) raises
+# ConvergenceError.
+_MAX_LOSS = 1e5
 _OVERFLOW_GUARD = 1e290
 # Series truncation: stop once two consecutive terms are at most
-# _ABS_TOL + _REL_TOL |sum|; give up (ConvergenceError, or the float64 sum
-# escalates) after _MAX_TERMS terms.  The contour has its own 1e-15 target.
+# _ABS_TOL + _REL_TOL |sum|; give up after _MAX_TERMS terms.  The contour
+# has its own 1e-15 target.
 _MAX_TERMS = 2000
 _ABS_TOL = 1e-30
 _REL_TOL = 1e-15
@@ -122,78 +131,36 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
     """One pass of the power series in float64.
 
     Returns ``(total, max_term, ok)`` where ``max_term`` is the per-element
-    peak of ``|term|`` and ``ok`` is False when the term recurrence overflowed
-    or the truncation rule was not met within _MAX_TERMS terms.
+    peak of ``|term|`` and ``ok`` is False at each point whose term
+    recurrence overflowed or whose own terms did not meet the truncation
+    rule within _MAX_TERMS terms.  An overflowed point's term is zeroed so
+    that the rest of the array carries on.
     """
     ratios = _term_ratios(alpha, beta)
     total = np.full_like(z, 1.0 / math.gamma(beta))
     term = total.copy()
     peak = np.abs(term)
+    ok = np.ones(z.shape, dtype=bool)
+    small = ok
     consecutive_small = 0
     for n in range(_MAX_TERMS):
         term = term * z * ratios[n]
         mags = np.abs(term)
         if not mags.max(initial=0.0) <= _OVERFLOW_GUARD:  # also inf and NaN
-            return total, peak, False
+            over = ~(mags <= _OVERFLOW_GUARD)
+            ok = ok & ~over
+            term[over] = 0.0
+            mags[over] = 0.0
         np.maximum(peak, mags, out=peak)
         total = total + term
-        if np.all(mags <= _ABS_TOL + _REL_TOL * np.abs(total)):
+        was_small, small = small, mags <= _ABS_TOL + _REL_TOL * np.abs(total)
+        if small.all():
             consecutive_small += 1
             if consecutive_small >= 2:
-                return total, peak, True
+                return total, peak, ok
         else:
             consecutive_small = 0
-    return total, peak, False
-
-
-def _series_mp(alpha: float, beta: float, z: float, dps: int) -> float:
-    """Arbitrary-precision summation of one series element.
-
-    The working precision is raised until it covers the cancellation actually
-    observed between the largest term and the partial sum.  ``alpha`` and
-    ``beta`` enter as exact mpf values, so every gamma argument is formed at
-    working precision.
-    """
-    # imported here: only inputs outside the float64 regions need it
-    import mpmath as mp
-
-    for _ in range(4):
-        with mp.workdps(dps):
-            a = mp.mpf(alpha)
-            b = mp.mpf(beta)
-            zm = mp.mpf(z)
-            g_prev = mp.gamma(b)
-            term = 1 / g_prev
-            total = term
-            peak = abs(term)
-            consecutive_small = 0
-            converged = False
-            for n in range(_MAX_TERMS):
-                g_next = mp.gamma(a * (n + 1) + b)
-                term = term * zm * (g_prev / g_next)
-                g_prev = g_next
-                peak = max(peak, abs(term))
-                total += term
-                if abs(term) <= _ABS_TOL + _REL_TOL * abs(total):
-                    consecutive_small += 1
-                    if consecutive_small >= 2:
-                        converged = True
-                        break
-                else:
-                    consecutive_small = 0
-            if not converged:
-                raise ConvergenceError(
-                    f"Mittag-Leffler series not converged in {_MAX_TERMS} terms "
-                    f"(alpha={alpha:g}, beta={beta:g}, z={z:g})"
-                )
-            lost = mp.log10(peak / abs(total)) if total != 0 else mp.mpf(0)
-            needed = 20 + int(max(lost, 0))
-            if dps >= needed:
-                return float(total)
-        dps = needed + 10
-    raise ConvergenceError(  # pragma: no cover - precision loop always settles
-        f"series precision did not settle (alpha={alpha:g}, beta={beta:g}, z={z:g})"
-    )
+    return total, peak, ok & small & was_small
 
 
 @functools.lru_cache(maxsize=16)
@@ -251,20 +218,42 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 - z)
     out = np.empty_like(z)
     rest = np.ones(z.shape, dtype=bool)
-    if 0.0 < alpha <= 1.0 and beta <= 1.0 + alpha:
-        cut = -(_CUT**alpha) if alpha >= _SERIES_MIN_ALPHA else 0.0
-        far = z <= cut
-        out[far] = _ml_nonpositive(alpha, beta, z[far])
+    if alpha <= 1.0:
+        if beta <= 1.0 + alpha:
+            far = z <= (-(_CUT**alpha) if alpha >= _SERIES_MIN_ALPHA else 0.0)
+            out[far] = _ml_nonpositive(alpha, beta, z[far])
+        else:
+            # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z lowers b by a
+            # until b <= 1 + a; b - a > 1, so Gamma(b - a) is finite
+            far = z <= -1.0
+            zf = z[far]
+            out[far] = (_series(alpha, beta - alpha, zf) - 1.0 / math.gamma(beta - alpha)) / zf
+        # |z| < c^a with a >= 0.1, or |z| < 1: the terms shrink from the start
+        # or from n ~ 2.3 / a on, the sum ends well inside _MAX_TERMS and is
+        # kept as summed
         near = ~far & (z <= 0.0)
-        # |z| < c^a with a >= 0.1: the terms shrink from n ~ 2.3 / a on, the
-        # sum ends well inside _MAX_TERMS and is kept as summed
         out[near] = _series_float(alpha, beta, z[near])[0]
         rest = z > 0.0
     zs = z[rest]
     total, peak, ok = _series_float(alpha, beta, zs)
-    redo = (peak > 10.0**_ESCALATE_DIGITS * np.abs(total)) | (not ok)
-    for j in np.flatnonzero(redo):
-        total[j] = _series_mp(alpha, beta, float(zs[j]), dps=30)
+    if alpha <= 1.0 and not ok.all():
+        # z > 0: the terms are positive and never cancel.  A sum that
+        # overflowed or ran out of terms has a large z^(1/a); once e^(z^(1/a))
+        # exceeds 1/eps the pole residue (1/a) z^((1-b)/a) e^(z^(1/a)) is the
+        # function to float64 precision (Gorenflo, Kilbas, Mainardi and
+        # Rogosin, Mittag-Leffler Functions, 2014)
+        failed = ~ok
+        zr = zs[failed]
+        root = zr ** (1.0 / alpha)
+        with np.errstate(over="ignore"):
+            total[failed] = np.exp(root + (1.0 - beta) / alpha * np.log(zr)) / alpha
+        ok[failed] = (root >= -_LOG_EPS) & np.isfinite(total[failed])
+    ok &= peak <= _MAX_LOSS * np.abs(total)
+    if not ok.all():
+        bad = float(zs[np.argmin(ok)])
+        raise ConvergenceError(
+            f"Mittag-Leffler series not resolved in float64 (alpha={alpha:g}, beta={beta:g}, z={bad:g})"
+        )
     out[rest] = total
     return out
 

@@ -1,5 +1,6 @@
 """End-to-end CLI checks: exact output bytes, exit codes, config handling."""
 
+import ast
 import csv
 import hashlib
 import math
@@ -67,6 +68,13 @@ class TestMl:
         code, _, err = run(["ml", "--alpha", "1"], capsys)
         assert code == 2
         assert "--z" in err
+
+    def test_cancelling_sum_exits_3(self, capsys):
+        # E_2(-1000) = cos(sqrt(1000)): the float64 series cancels 13 digits
+        code, out, err = run(["ml", "--alpha", "2", "--z", "-1000"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
 
 
 class TestVerify:
@@ -488,6 +496,8 @@ class TestCost:
             "assert cli.main(['cost', '--problem', 'static1d', '--alpha', '0.8', '--lambda=-1']) == 0\n"
             "assert cli.main(['verify', '--alpha', '0.5']) == 0\n"
             f"assert cli.main(['solve', '--problem', 'lq1d', *{FAST_SOLVE!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+            "assert cli.main(['ml', '--alpha', '0.3', '--beta', '2', '--z', '-3']) == 0\n"
+            "assert cli.main(['ml', '--alpha', '0.5', '--z', '26']) == 0\n"
             "print('mpmath' in sys.modules)\n"
         )
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -495,6 +505,21 @@ class TestCost:
         res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "False"
+
+    def test_package_does_not_import_mpmath(self):
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        for name in sorted(os.listdir(package)):
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), name)
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        modules = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom):
+                        modules = [node.module or ""]
+                    else:
+                        continue
+                    assert not any(m.split(".")[0] == "mpmath" for m in modules), name
 
     def test_lqr_feedback_near_riccati_value(self, capsys):
         code, out, _ = run(["cost", "--problem", "lq1d", "--feedback", "lqr", "--x0", "1.0"], capsys)

@@ -36,6 +36,18 @@ ML2_88_AT_M15 = 9.223128515477956054e-04   # E_{0.8,0.8}(-15)
 ML2_88_AT_M40 = 1.1604140205456125749e-04  # E_{0.8,0.8}(-40)
 ML2_03_2_AT_M3 = 0.2719572978034493        # E_{0.3,2}(-3)
 ML2_03_2_AT_M4 = 0.21825969356022965       # E_{0.3,2}(-4)
+# E_{a,b}(z) with b > 1 + a and z <= -1, where b is lowered by a at a time:
+# 120-digit series sums with alpha and beta passed as exact mp.mpf values
+ML2_ABOVE_CONTOUR = {
+    (0.5, 2.5, -4.0): 0.19296068553113888,
+    (0.5, 3.0, -4.0): 0.13982302313313405,
+    (0.95, 2.0, -10.0): 0.10148417277134074,
+    (0.95, 2.5, -10.0): 0.10549724467431758,
+    (0.5, 2.0, -25.0): 0.04357124599971273,
+    (0.5, 3.0, -25.0): 0.02855982511614654,
+    (0.3, 1.8, -10.0): 0.10281862293229917,
+    (0.8, 2.3, -100.0): 0.011206660761579064,
+}
 # E_{a,b}(z) just inside and just past the series/contour cut z = -2.3^a,
 # at z = -2.3^a * 0.999 and -2.3^a * 1.001, for b = a, 1, 1 + a
 ML_AT_CUT = {
@@ -150,13 +162,20 @@ class TestMlOne:
             assert vi == float(ml_one(0.7, float(zi)))
 
     def test_mixed_signs_are_summed_apart(self):
-        # the z > 0 point's terms outgrow float64 and go to mpmath; the z <= 0
-        # point keeps its own float64 sum
+        # the z > 0 point's terms outgrow float64 and it takes the pole
+        # residue; the z <= 0 point keeps its own float64 sum
         z = np.array([-1.0, 26.0])
         assert np.array_equal(ml_one(0.5, z), [ml_one(0.5, zi) for zi in z])
 
+    def test_overflow_is_flagged_per_point(self):
+        # E_0.5(26) overflows its float64 terms and takes the pole residue
+        # 2 e^676; E_0.5(1) in the same array keeps its own sum
+        got = ml_one(0.5, np.array([1.0, 26.0]))
+        assert got[0] == pytest.approx(ML_HALF_AT_1, rel=1e-12)
+        assert got[1] == pytest.approx(2.0 * math.exp(676.0), rel=1e-14)
+
     def test_exhaustion(self):
-        # the terms of E_0.5(40) peak near n = 3200, past the 2,000-term budget
+        # the terms of E_0.5(40) outgrow float64, and so does its residue 2 e^1600
         with pytest.raises(ConvergenceError):
             ml_one(0.5, 40.0)
 
@@ -205,10 +224,25 @@ class TestMlTwo:
             assert float(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_exact_beta_off_contour(self):
-        # b > 1 + a is outside the contour region, so these are summed by
-        # mpmath; float64 gamma arguments gave 0.36139 and 4.7e26
+        # b > 1 + a is outside the contour region: b is lowered by a until
+        # the contour takes the point; a float64 series with float64 gamma
+        # arguments gave 0.36139 and 4.7e26
         assert float(ml_two(0.3, 2.0, -3.0)) == pytest.approx(ML2_03_2_AT_M3, rel=1e-12)
         assert float(ml_two(0.3, 2.0, -4.0)) == pytest.approx(ML2_03_2_AT_M4, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha, beta, z", sorted(ML2_ABOVE_CONTOUR))
+    def test_beta_above_contour_region(self, alpha, beta, z):
+        # a float64 series sum is 1e-11 to 2e-10 off at the first four
+        # points of ML2_ABOVE_CONTOUR; at the last four it cancels over 100
+        # digits
+        want = ML2_ABOVE_CONTOUR[alpha, beta, z]
+        assert float(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-13, abs=0)
+        assert np.asarray(ml_two(alpha, beta, np.array([z, -0.5])))[0] == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_cancelling_alpha_above_one_raises(self):
+        # E_2(-1000) = cos(sqrt(1000)): its float64 series cancels 13 digits
+        with pytest.raises(ConvergenceError):
+            ml_one(2.0, -1000.0)
 
     def test_beta_one_equals_ml_one(self):
         for a in (0.3, 0.5, 1.0, 1.7):
