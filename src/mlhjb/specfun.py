@@ -5,39 +5,36 @@ The one- and two-parameter Mittag-Leffler functions
     E_a(z)   = sum_{n>=0} z^n / Gamma(a n + 1),
     E_{a,b}(z) = sum_{n>=0} z^n / Gamma(a n + b)
 
-are evaluated in float64 by one of four routes, chosen for each point from
-(a, b, z) before any sum:
+are evaluated in float64, each point routed by (a, b, z) before any sum:
 
-- the kernel region, 0 < a <= 1 and 0 < b <= 1 + a (every kernel,
-  kernel-derivative and defect evaluation), at z <= -c^a, c = _CUT, and at
-  every z <= 0 when a < 0.1: Garrappa's optimal parabolic contour (OPC) for
-  the inverse Laplace transform of s^(a-b) / (s^a - z) (R. Garrappa, SIAM
-  J. Numer. Anal. 53(3), 2015), or exp(z) at a = b = 1.  One fixed 27-node
-  half contour serves every z.  For z <= -1 it evaluates E_{a,b-a}(z), and
-  E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z makes the leading
-  -1/(z Gamma(b-a)) of the large-|z| expansion exact.  Its other z <= 0 go
-  to the power series, which there cancels at most 2.4 digits for
-  b >= a >= 0.1.
-- b > 1 + a with 0 < a <= 1 and z <= -1: the same identity, applied until
-  b <= 1 + a.  At -1 < z <= 0 the power series, whose terms shrink from
-  the start.
+- z <= 0 with 0 < a <= 1, up to a cut: Garrappa's optimal parabolic
+  contour (OPC) for the inverse Laplace transform of s^(a-b) / (s^a - z)
+  (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015), one fixed 27-node half
+  contour for every z, or exp(z) at a = b = 1.  At z <= -1, E_{a,b}(z) =
+  (E_{a,b-a}(z) - 1/Gamma(b-a)) / z lowers b until b <= 1 and makes the
+  leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.  The cut is
+  -c^a, c = _CUT, in the kernel region 0 < b <= 1 + a with a >= 0.1 (every
+  kernel, kernel-derivative and defect evaluation), 0 there for a < 0.1,
+  and -b^a for b > 1 + a; the power series takes the z <= 0 above it.
 - z > 0 with 0 < a <= 1: the power series, whose terms are all positive.  A
   point whose own sum overflows or runs past 2,000 terms takes the pole
-  residue (1/a) z^((1-b)/a) e^(z^(1/a)), once e^(z^(1/a)) exceeds 1/eps;
-  a residue that is not finite raises ConvergenceError.
-- anything else (a > 1): the power series, kept if it loses at most five
-  digits to cancellation; otherwise ConvergenceError.  So for a > 1 the
-  domain ends short of the cancelling z < 0, for example E_2(-1000).
+  residue (1/a) z^((1-b)/a) e^(z^(1/a)) where the rest of the expansion is
+  below eps relative to it.
+- a > 1: the power series.
+
+A result that loses more than five digits, or a series that does not
+converge, raises ConvergenceError: E_2(-1000), E_0.5(40), E_{0.001,1.5}(-0.999).
 
 In the kernel region the measured relative error against exact-parameter
 values is at most about 1e-12 for 0.001 <= a <= 0.99 and b >= a; it grows
 as (a, b) nears (1, 1), where the function tends to e^z (6e-12 at
 a = b = 0.999, z = -50), and at a = b -> 0, where E_{a,a} shrinks like a
 (1e-10 at a = b = 1e-5, an absolute 3e-16).  Outside it, against
-exact-parameter sums on grids: the b > 1 + a route within 2e-14 (a from
-0.05 to 1, b up to 5, z from -1 to -1000), the z > 0 route within 1e-13
-(a from 0.01 to 1, b up to 3, z up to 600 or float64 overflow), and the
-kept a > 1 sums within 1.2e-10 (a from 1.2 to 3, b up to 3, |z| <= 50).
+exact-parameter values on grids: b > 1 + a at z <= 0 within 1.4e-13, and
+1.5e-14 past -b^a (a from 0.001 to 1, b up to 20, z from -0.3 to -1000),
+z > 0 within 3e-13 (a from 0.01 to 1, b up to 20, z^(1/a) up to 700),
+and the kept a > 1 sums within 1.2e-10 (a from 1.2 to 3, b up to 3,
+|z| <= 50).
 The discount kernel built on top of them is
 
     kernel(t) = E_a(lam * t**a),
@@ -68,13 +65,11 @@ __all__ = [
 # the series' largest term, about exp(|z|^(1/a)), exceeds the sum by at most
 # 1.5 decimal digits for b >= 1 and 2.4 for b = a >= 0.1.
 _CUT = 2.3
-# Below this order the series near |z| = 1 needs more than _MAX_TERMS terms
-# (from a ~ 0.013 down), so there every z <= 0 of the kernel region goes to
-# the contour.
+# Below this order the series near |z| = 1 needs over _MAX_TERMS terms (from
+# a ~ 0.013 down): every kernel-region z <= 0 goes to the contour.
 _SERIES_MIN_ALPHA = 0.1
-# At z > 0 or a > 1, a float64 sum whose largest term exceeds the final sum
-# by more than this factor (five digits lost to cancellation) raises
-# ConvergenceError.
+# A float64 sum whose largest term exceeds the final sum by more than this
+# factor (five digits lost to cancellation) raises ConvergenceError.
 _MAX_LOSS = 1e5
 _OVERFLOW_GUARD = 1e290
 # Series truncation: stop once two consecutive terms are at most
@@ -130,11 +125,9 @@ def _term_ratios(alpha: float, beta: float) -> tuple[float, ...]:
 def _series_float(alpha: float, beta: float, z: np.ndarray):
     """One pass of the power series in float64.
 
-    Returns ``(total, max_term, ok)`` where ``max_term`` is the per-element
-    peak of ``|term|`` and ``ok`` is False at each point whose term
-    recurrence overflowed or whose own terms did not meet the truncation
-    rule within _MAX_TERMS terms.  An overflowed point's term is zeroed so
-    that the rest of the array carries on.
+    Returns ``(total, max_term, ok)``: the per-element peak of ``|term|``, and
+    False at each point whose terms overflowed (they are zeroed from there on,
+    so the rest carry on) or missed the truncation rule within _MAX_TERMS.
     """
     ratios = _term_ratios(alpha, beta)
     total = np.full_like(z, 1.0 / math.gamma(beta))
@@ -147,10 +140,9 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
         term = term * z * ratios[n]
         mags = np.abs(term)
         if not mags.max(initial=0.0) <= _OVERFLOW_GUARD:  # also inf and NaN
-            over = ~(mags <= _OVERFLOW_GUARD)
-            ok = ok & ~over
-            term[over] = 0.0
-            mags[over] = 0.0
+            ok = ok & (mags <= _OVERFLOW_GUARD)
+            term[~ok] = 0.0
+            mags[~ok] = 0.0
         np.maximum(peak, mags, out=peak)
         total = total + term
         was_small, small = small, mags <= _ABS_TOL + _REL_TOL * np.abs(total)
@@ -195,20 +187,45 @@ def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
 
 
 def _ml_nonpositive(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) in float64 for 1-D z <= 0, 0 < alpha <= 1, 0 < beta <= 1 + alpha."""
+    """E_{alpha,beta}(z) in float64 for 1-D z <= 0, 0 < alpha <= 1, beta > 0 (beta <= 1 + alpha at z > -1)."""
     if alpha == 1.0 and beta == 1.0:
         return np.exp(z)
     out = np.empty_like(z)
     far = z <= -1.0
     out[~far] = _contour_sum(alpha, beta, z[~far])
-    # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z: the leading term of the
-    # large-|z| expansion, -1/(z Gamma(b-a)), is then exact, and the contour
-    # sum keeps its relative accuracy where that term is small or zero (b = a).
-    # b - a lies in (-1, 1], so its only gamma pole is 0.
-    lead = 0.0 if beta == alpha else 1.0 / math.gamma(beta - alpha)
+    # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z, at least once and until
+    # b <= 1: the leading -1/(z Gamma(b-a)) of the large-|z| expansion is then
+    # exact, and the contour sum keeps its relative accuracy where that term
+    # is small or zero (b = a).  The lowered b stays above -a, so its only
+    # gamma pole is 0.
+    leads = []
+    while beta > 1.0 or not leads:
+        beta -= alpha
+        leads.append(0.0 if beta == 0.0 else 1.0 / math.gamma(beta))
     zf = z[far]
-    out[far] = (_contour_sum(alpha, beta - alpha, zf) - lead) / zf
+    total = _contour_sum(alpha, beta, zf)
+    for lead in reversed(leads):
+        total = (total - lead) / zf
+    out[far] = total
     return out
+
+
+def _pole_residue(alpha: float, beta: float, z: np.ndarray):
+    """(1/a) z^((1-b)/a) e^(z^(1/a)) for z > 0, 0 < a <= 1, and where it is E_{a,b}(z).
+
+    E_{a,b}(z) = residue - sum_{k>=1} z^-k / Gamma(b - k a) asymptotically
+    (Gorenflo, Kilbas, Mainardi and Rogosin, Mittag-Leffler Functions, 2014).
+    With r = z^(1/a), term k over the residue is a r^(b-1-ka) e^-r / |Gamma(b-ka)|.
+    Where r >= b - a, the terms with b - ka > 0 shrink with k, and those with
+    b - ka <= 0 (up to the smallest, where the divergent sum is cut) are at
+    most a e^-r / r.  The residue is kept where both bounds are at most eps.
+    """
+    with np.errstate(over="ignore"):
+        root = z ** (1.0 / alpha)
+        value = np.exp(root + (1.0 - beta) / alpha * np.log(z)) / alpha
+    first = (beta - 1.0 - alpha) * np.log(root) - math.lgamma(beta - alpha) if beta > alpha else -np.inf
+    bound = math.log(alpha) - root + np.maximum(first, -np.log(root))
+    return value, (root >= beta - alpha) & (bound <= _LOG_EPS) & np.isfinite(value)
 
 
 def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
@@ -217,44 +234,31 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         # only ml_one gets here at alpha = 0, with |z| < 1: the geometric series
         return 1.0 / (1.0 - z)
     out = np.empty_like(z)
-    rest = np.ones(z.shape, dtype=bool)
+    parts = [np.ones(z.shape, dtype=bool)]
     if alpha <= 1.0:
-        if beta <= 1.0 + alpha:
-            far = z <= (-(_CUT**alpha) if alpha >= _SERIES_MIN_ALPHA else 0.0)
-            out[far] = _ml_nonpositive(alpha, beta, z[far])
+        if beta > 1.0 + alpha:
+            # past -b^a a step of lowering b divides the error by |z| >= b^a,
+            # more than 1/Gamma grows; above it the terms shrink from about n = 0
+            cut = -(beta**alpha)
+        elif alpha >= _SERIES_MIN_ALPHA:
+            cut = -(_CUT**alpha)
         else:
-            # E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z lowers b by a
-            # until b <= 1 + a; b - a > 1, so Gamma(b - a) is finite
-            far = z <= -1.0
-            zf = z[far]
-            out[far] = (_series(alpha, beta - alpha, zf) - 1.0 / math.gamma(beta - alpha)) / zf
-        # |z| < c^a with a >= 0.1, or |z| < 1: the terms shrink from the start
-        # or from n ~ 2.3 / a on, the sum ends well inside _MAX_TERMS and is
-        # kept as summed
-        near = ~far & (z <= 0.0)
-        out[near] = _series_float(alpha, beta, z[near])[0]
-        rest = z > 0.0
-    zs = z[rest]
-    total, peak, ok = _series_float(alpha, beta, zs)
-    if alpha <= 1.0 and not ok.all():
-        # z > 0: the terms are positive and never cancel.  A sum that
-        # overflowed or ran out of terms has a large z^(1/a); once e^(z^(1/a))
-        # exceeds 1/eps the pole residue (1/a) z^((1-b)/a) e^(z^(1/a)) is the
-        # function to float64 precision (Gorenflo, Kilbas, Mainardi and
-        # Rogosin, Mittag-Leffler Functions, 2014)
-        failed = ~ok
-        zr = zs[failed]
-        root = zr ** (1.0 / alpha)
-        with np.errstate(over="ignore"):
-            total[failed] = np.exp(root + (1.0 - beta) / alpha * np.log(zr)) / alpha
-        ok[failed] = (root >= -_LOG_EPS) & np.isfinite(total[failed])
-    ok &= peak <= _MAX_LOSS * np.abs(total)
-    if not ok.all():
-        bad = float(zs[np.argmin(ok)])
-        raise ConvergenceError(
-            f"Mittag-Leffler series not resolved in float64 (alpha={alpha:g}, beta={beta:g}, z={bad:g})"
-        )
-    out[rest] = total
+            cut = 0.0
+        far = z <= cut
+        out[far] = _ml_nonpositive(alpha, beta, z[far])
+        # summed apart, as the stopping rule is joint over an array
+        parts = [~far & (z <= 0.0), z > 0.0]
+    for part in parts:
+        zs = z[part]
+        total, peak, ok = _series_float(alpha, beta, zs)
+        # z > 0, a <= 1: positive terms; a sum that failed may take the residue
+        failed = ~ok & (zs > 0.0)
+        if alpha <= 1.0 and failed.any():
+            total[failed], ok[failed] = _pole_residue(alpha, beta, zs[failed])
+        ok &= peak / _MAX_LOSS <= np.abs(total)
+        if not ok.all():
+            raise ConvergenceError(f"Mittag-Leffler E_{{{alpha:g},{beta:g}}}({zs[~ok][0]:g}) not resolved in float64")
+        out[part] = total
     return out
 
 

@@ -77,6 +77,13 @@ class TestMl:
         assert err.startswith("error:")
 
 
+    def test_deep_beta_lowering(self, capsys):
+        # about 2,000 steps of a lower b to the contour region, in a loop
+        code, out, _ = run(["ml", "--alpha", "0.001", "--beta", "3", "--z", "-2"], capsys)
+        assert code == 0
+        assert out == "0.166769206718\n"
+
+
 class TestVerify:
     def test_default_passes(self, capsys):
         code, out, _ = run(["verify", "--alpha", "0.5"], capsys)

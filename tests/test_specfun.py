@@ -48,6 +48,17 @@ ML2_ABOVE_CONTOUR = {
     (0.3, 1.8, -10.0): 0.10281862293229917,
     (0.8, 2.3, -100.0): 0.011206660761579064,
 }
+# b = 3 lies about 2,000 steps of a = 0.001 above the contour region: a
+# 60-digit Talbot inversion (mpmath) of the Laplace transform s^(a-b) / (s^a - z)
+ML2_DEEP_AT_M2 = 0.16676920671780642382    # E_{0.001,3}(-2)
+# b > 1 + a between -b^a and 0, where the series takes the point and lowering
+# b would lose digits: 60-digit series sums
+ML2_ABOVE_LOWERING_CUT = {
+    (0.8, 20.0, -4.0): 6.0061748414390661109e-18,
+    (1.0, 10.0, -1.5): 2.3924273160123173959e-06,
+}
+# past float64 overflow of the terms: a 60-digit series sum
+ML2_H3_AT_25 = 1.390980848467833187e+266   # E_{0.5,3}(25)
 # E_{a,b}(z) just inside and just past the series/contour cut z = -2.3^a,
 # at z = -2.3^a * 0.999 and -2.3^a * 1.001, for b = a, 1, 1 + a
 ML_AT_CUT = {
@@ -243,6 +254,33 @@ class TestMlTwo:
         # E_2(-1000) = cos(sqrt(1000)): its float64 series cancels 13 digits
         with pytest.raises(ConvergenceError):
             ml_one(2.0, -1000.0)
+
+    def test_deep_lowering(self):
+        # about 2,000 lowering steps, taken in a loop
+        assert float(ml_two(0.001, 3.0, -2.0)) == pytest.approx(ML2_DEEP_AT_M2, rel=1e-13, abs=0)
+
+    @pytest.mark.parametrize("alpha, beta, z", sorted(ML2_ABOVE_LOWERING_CUT))
+    def test_large_beta_above_the_lowering_cut(self, alpha, beta, z):
+        # lowering b at |z| < b^a lost 1e-11 here
+        want = ML2_ABOVE_LOWERING_CUT[alpha, beta, z]
+        assert float(ml_two(alpha, beta, z)) == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_unconverged_sum_near_minus_one_raises(self):
+        # at a = 0.001 the terms of E_{0.001,1.5}(-0.999) are still 0.04 after
+        # 2,000 of them
+        with pytest.raises(ConvergenceError):
+            ml_two(0.001, 1.5, -0.999)
+
+    def test_residue_past_float64_terms(self):
+        # b > 1 + a at z > 0: the terms overflow, and the pole residue
+        # (1/a) z^((1-b)/a) e^(z^(1/a)) is within eps of the function
+        assert float(ml_two(0.5, 3.0, 25.0)) == pytest.approx(ML2_H3_AT_25, rel=1e-13, abs=0)
+
+    def test_residue_is_refused_where_large_b_shows(self):
+        # E_{0.02,20}(1.075) runs out of terms at z^(1/a) = 37, where the
+        # algebraic -1/(z Gamma(b-a)) is 8e-6 of the pole residue
+        with pytest.raises(ConvergenceError):
+            ml_two(0.02, 20.0, 1.075)
 
     def test_beta_one_equals_ml_one(self):
         for a in (0.3, 0.5, 1.0, 1.7):
