@@ -10,9 +10,10 @@ Exit codes: 0 success, 1 verification tolerance unmet, 2 usage or domain
 error or an output file that cannot be written, 3 numerical divergence
 (including state escape).
 
-Flags override values from an optional key=value config file (--config);
-unknown config keys are errors.  The MLHJB_OUT environment variable selects
-the default output directory for `solve` when --out is absent.
+Flags override values from an optional key=value config file (--config).
+A config value is checked as its flag would be, and unknown keys are errors.
+The MLHJB_OUT environment variable selects the default output directory for
+`solve` when --out is absent.
 
 Importing this module and building the parser load only the package's
 ``errors``, ``specfun`` and ``catalog`` modules (the last for its problem
@@ -52,8 +53,6 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
 _ENV_OUT = "MLHJB_OUT"
-# `verify --scheme` names the defect quadrature; graded Gauss-Legendre is the only one
-_SCHEMES = ("gauss_legendre",)
 
 # Cross-module entry points whose modules are imported on first use.  Each is
 # a module attribute (resolved by __getattr__), and the commands call the one
@@ -90,7 +89,7 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _add_shared(sp: argparse.ArgumentParser, lam_default: float = -0.5) -> None:
+def _add_discount(sp: argparse.ArgumentParser, lam_default: float = -0.5) -> None:
     sp.add_argument("--alpha", type=float, default=1.0, help="kernel order in (0, 1] (default %(default)s)")
     sp.add_argument(
         "--lambda",
@@ -99,8 +98,6 @@ def _add_shared(sp: argparse.ArgumentParser, lam_default: float = -0.5) -> None:
         default=lam_default,
         help="discount rate multiplier; negative values discount (default %(default)s)",
     )
-    sp.add_argument("--out", default=None, help="output file (or directory for solve)")
-    sp.add_argument("--config", default=None, help="key=value config file; flags take precedence")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
@@ -117,7 +114,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     ml = sub.add_parser("ml", help="evaluate E_a(z) or E_{a,b}(z) to 12 digits")
     ml.add_argument("--z", type=float, required=False, default=None, help="argument z")
     ml.add_argument("--beta", type=float, default=None, help="second parameter; omit for the one-parameter function")
-    _add_shared(ml)
+    ml.add_argument("--alpha", type=float, default=1.0, help="order a >= 0, a > 0 with --beta (default %(default)s)")
     subs["ml"] = ml
 
     verify = sub.add_parser("verify", help="tabulate the semigroup-defect identity residual")
@@ -131,12 +128,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     verify.add_argument("--panels", type=int, default=8, help="quadrature panels per sub-interval (default %(default)s)")
     verify.add_argument(
         "--scheme",
-        choices=_SCHEMES,
+        choices=("gauss_legendre",),  # graded Gauss-Legendre is the only defect quadrature
         default="gauss_legendre",
         help="quadrature rule (default %(default)s)",
     )
     verify.add_argument("--tol", type=float, default=1e-5, help="largest |residual| that exits 0 (default %(default)s)")
-    _add_shared(verify, lam_default=-1.0)
+    _add_discount(verify, lam_default=-1.0)
     subs["verify"] = verify
 
     solve = sub.add_parser("solve", help="solve a catalog problem; write value/policy/residual CSVs")
@@ -147,7 +144,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     solve.add_argument("--window", type=int, default=None, help="memory slices for the residual diagnostic (default per problem)")
     solve.add_argument("--x0", type=_float_list, default=None, help="summary evaluation state (default per problem)")
     solve.add_argument("--stride", type=int, default=None, help="emit every Nth time slice to CSV (default: about 200 slices)")
-    _add_shared(solve)
+    _add_discount(solve)
     subs["solve"] = solve
 
     cost = sub.add_parser("cost", help="forward-evaluate the discounted cost of a control law")
@@ -162,9 +159,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         default="zero",
         help="builtin feedback law when no policy file is given (default %(default)s)",
     )
-    _add_shared(cost)
+    _add_discount(cost)
     subs["cost"] = cost
 
+    for sp in subs.values():
+        sp.add_argument("--out", default=None, help="output file (or directory for solve)")
+        sp.add_argument("--config", default=None, help="key=value config file; flags take precedence")
     return parser, subs
 
 
@@ -233,9 +233,6 @@ def _cmd_verify(args) -> int:
     delta_ml = _resolve("delta_ml")
     spec = DiscountSpec(args.alpha, args.lam)
     quad = QuadratureConfig(panels=args.panels)
-    # a config-file value bypasses argparse's choices
-    if args.scheme not in _SCHEMES:
-        raise ConfigError(f"scheme must be one of {_SCHEMES}, got {args.scheme!r}")
     if not args.s:
         raise DomainError("--s must list at least one value")
     if not args.tol >= 0.0:
@@ -436,8 +433,6 @@ def _cmd_cost(args) -> int:
         window=entry.window,
     )
     x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
-    if args.feedback not in ("zero", "lqr"):
-        raise ConfigError(f"unknown feedback law {args.feedback!r}")
     if args.policy is not None:
         law = _read_policy(args.policy, entry.problem.dim_x, entry.problem.controls.shape[1])
     elif args.feedback == "lqr":
@@ -464,6 +459,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser, subs = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -471,17 +467,18 @@ def main(argv=None) -> int:
     if args.config is not None:
         try:
             overrides = _load_config(args.config)
-            sub = subs[args.command]
-            valid = {action.dest for action in sub._actions} - {"help", "config", "command"}
-            unknown = sorted(set(overrides) - valid)
+            flags = {a.dest: a.option_strings[0] for a in subs[args.command]._actions if a.dest not in ("help", "config")}
+            unknown = sorted(set(overrides) - set(flags))
             if unknown:
                 raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-            sub.set_defaults(**overrides)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        # config values are parsed as flags placed before the user's, which win
+        at = argv.index(args.command) + 1
+        tokens = [f"{flags[key]}={value}" for key, value in overrides.items()]
         try:
-            args = parser.parse_args(argv)
+            args = parser.parse_args(argv[:at] + tokens + argv[at:])
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

@@ -22,6 +22,9 @@ are evaluated in float64, each point routed by (a, b, z) before any sum:
   below eps relative to it.
 - a > 1: the power series.
 
+Each point's series stops on its own terms, so a value depends only on its
+own (a, b, z): an array call returns its elements' scalar values bit for bit.
+
 A result that loses more than five digits, or a series that does not
 converge, raises ConvergenceError: E_2(-1000), E_0.5(40), E_{0.001,1.5}(-0.999).
 
@@ -72,8 +75,8 @@ _SERIES_MIN_ALPHA = 0.1
 # factor (five digits lost to cancellation) raises ConvergenceError.
 _MAX_LOSS = 1e5
 _OVERFLOW_GUARD = 1e290
-# Series truncation: stop once two consecutive terms are at most
-# _ABS_TOL + _REL_TOL |sum|; give up after _MAX_TERMS terms.  The contour
+# Series truncation: a point stops once two consecutive terms of its own are
+# at most _ABS_TOL + _REL_TOL |sum|; give up after _MAX_TERMS terms.  The contour
 # has its own 1e-15 target.
 _MAX_TERMS = 2000
 _ABS_TOL = 1e-30
@@ -123,8 +126,10 @@ def _term_ratios(alpha: float, beta: float) -> tuple[float, ...]:
 
 
 def _series_float(alpha: float, beta: float, z: np.ndarray):
-    """One pass of the power series in float64.
+    """The power series in float64, each point stopped by its own terms.
 
+    A point stops once two consecutive terms of its own were small, so its
+    value depends only on its own (alpha, beta, z), not on the other points.
     Returns ``(total, max_term, ok)``: the per-element peak of ``|term|``, and
     False at each point whose terms overflowed (they are zeroed from there on,
     so the rest carry on) or missed the truncation rule within _MAX_TERMS.
@@ -134,8 +139,7 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
     term = total.copy()
     peak = np.abs(term)
     ok = np.ones(z.shape, dtype=bool)
-    small = ok
-    consecutive_small = 0
+    small = done = np.zeros(z.shape, dtype=bool)
     for n in range(_MAX_TERMS):
         term = term * z * ratios[n]
         mags = np.abs(term)
@@ -146,13 +150,11 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
         np.maximum(peak, mags, out=peak)
         total = total + term
         was_small, small = small, mags <= _ABS_TOL + _REL_TOL * np.abs(total)
-        if small.all():
-            consecutive_small += 1
-            if consecutive_small >= 2:
-                return total, peak, ok
-        else:
-            consecutive_small = 0
-    return total, peak, ok & small & was_small
+        done = small & was_small
+        if done.all():
+            break
+        np.copyto(term, 0.0, where=done)  # a stopped point adds zeros from here on
+    return total, peak, ok & done
 
 
 @functools.lru_cache(maxsize=16)
@@ -234,7 +236,7 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
         # only ml_one gets here at alpha = 0, with |z| < 1: the geometric series
         return 1.0 / (1.0 - z)
     out = np.empty_like(z)
-    parts = [np.ones(z.shape, dtype=bool)]
+    summed = np.ones(z.shape, dtype=bool)
     if alpha <= 1.0:
         if beta > 1.0 + alpha:
             # past -b^a a step of lowering b divides the error by |z| >= b^a,
@@ -244,21 +246,18 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             cut = -(_CUT**alpha)
         else:
             cut = 0.0
-        far = z <= cut
-        out[far] = _ml_nonpositive(alpha, beta, z[far])
-        # summed apart, as the stopping rule is joint over an array
-        parts = [~far & (z <= 0.0), z > 0.0]
-    for part in parts:
-        zs = z[part]
-        total, peak, ok = _series_float(alpha, beta, zs)
-        # z > 0, a <= 1: positive terms; a sum that failed may take the residue
-        failed = ~ok & (zs > 0.0)
-        if alpha <= 1.0 and failed.any():
-            total[failed], ok[failed] = _pole_residue(alpha, beta, zs[failed])
-        ok &= peak / _MAX_LOSS <= np.abs(total)
-        if not ok.all():
-            raise ConvergenceError(f"Mittag-Leffler E_{{{alpha:g},{beta:g}}}({zs[~ok][0]:g}) not resolved in float64")
-        out[part] = total
+        summed = z > cut
+        out[~summed] = _ml_nonpositive(alpha, beta, z[~summed])
+    zs = z[summed]
+    total, peak, ok = _series_float(alpha, beta, zs)
+    # z > 0, a <= 1: positive terms; a sum that failed may take the residue
+    failed = ~ok & (zs > 0.0)
+    if alpha <= 1.0 and failed.any():
+        total[failed], ok[failed] = _pole_residue(alpha, beta, zs[failed])
+    ok &= peak / _MAX_LOSS <= np.abs(total)
+    if not ok.all():
+        raise ConvergenceError(f"Mittag-Leffler E_{{{alpha:g},{beta:g}}}({zs[~ok][0]:g}) not resolved in float64")
+    out[summed] = total
     return out
 
 

@@ -163,7 +163,7 @@ class TestVerify:
             (
                 ["--alpha", "0.5", "--lambda=1.5", "--t", "0.2", "--s", "0.05,1.0", "--panels", "8",
                  "--scheme", "gauss_legendre"],
-                "9bb92c7ef38a96358a754ba9625555a05a3f0e82a285a5622bdc08619b4fa7fb",
+                "c4ef49aad6268ab9be988fa475958094ad5dc34726b09420064f1b996cf68b99",
             ),
         ],
         ids=["default", "a0.3-panels16", "a0.9-panels4", "a0.5-positive-lambda"],
@@ -436,6 +436,20 @@ class TestConfigFile:
         code, out, _ = run(["ml", "--config", str(cfg)], capsys)
         assert code == 0
         assert out == "2.718281828459\n"
+
+    def test_lambda_is_unknown_for_ml(self, capsys, tmp_path):
+        cfg = tmp_path / "ml.cfg"
+        cfg.write_text("z = 1\nlambda = 1\n")
+        code, out, err = run(["ml", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "lam" in err
+
+    def test_config_value_is_checked_like_its_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "cost.cfg"
+        cfg.write_text("feedback = pid\n")
+        code, out, err = run(["cost", "--problem", "zero1d", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "--feedback" in err and "pid" in err
 
 
 def _seeded_policy(path, dim_x, seed, newline="\n"):
@@ -712,6 +726,7 @@ class TestParser:
             ["cost", "--tol", "1e-3"],
             ["cost", "--nx", "17"],
             ["ml", "--z", "1", "--tol", "1e-3"],
+            ["ml", "--z", "1", "--lambda", "1"],
         ],
     )
     def test_removed_flag_exits_2(self, argv, capsys):

@@ -282,6 +282,27 @@ class TestMlTwo:
         with pytest.raises(ConvergenceError):
             ml_two(0.02, 20.0, 1.075)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.5, 0.8, 1.0, 1.5])
+    def test_array_is_per_element_scalar_calls(self, alpha):
+        # each value depends on its own argument only, bit for bit.  The grid
+        # crosses the contour, the lowering of b > 1 + a, the series at z <= 0
+        # and z > 0, the pole residue (a = 0.5 at z = 26, a = 0.3 past z = 6)
+        # and a > 1; z^(1/a) <= 680 keeps the values finite
+        z = np.r_[np.linspace(-3.0, 8.0, 23), 26.0]
+        z = z[z <= 680.0**alpha] if alpha <= 1.0 else z[z <= 8.0]
+        checked = 0
+        for beta in sorted({alpha, 1.0, 1.5, 1.0 + alpha, 3.0}):
+            try:
+                got = ml_two(alpha, beta, z)
+                want = [ml_two(alpha, beta, zi) for zi in z]
+            except ConvergenceError:
+                continue
+            assert got.tobytes() == np.array(want).tobytes(), (alpha, beta)
+            checked += 1
+        assert checked
+        got = ml_one(alpha, z)
+        assert got.tobytes() == np.array([ml_one(alpha, zi) for zi in z]).tobytes()
+
     def test_beta_one_equals_ml_one(self):
         for a in (0.3, 0.5, 1.0, 1.7):
             for z in (-2.0, -0.3, 0.4, 3.0):
