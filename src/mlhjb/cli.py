@@ -84,7 +84,7 @@ def _fmt_csv(x: float) -> str:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
@@ -136,22 +136,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_discount(verify, lam_default=-1.0)
     subs["verify"] = verify
 
-    solve = sub.add_parser("solve", help="solve a catalog problem; write value/policy/residual CSVs")
-    solve.add_argument("--problem", choices=catalog.PROBLEM_NAMES, default="lq1d", help="catalog problem (default %(default)s)")
-    solve.add_argument("--dt", type=float, default=None, help="time step (default per problem)")
-    solve.add_argument("--horizon", type=float, default=None, help="horizon truncation T (default per problem)")
+    solve = subs["solve"] = sub.add_parser("solve", help="solve a catalog problem; write value/policy/residual CSVs")
+    cost = subs["cost"] = sub.add_parser("cost", help="forward-evaluate the discounted cost of a control law")
+    for sp in (solve, cost):
+        sp.add_argument("--problem", choices=catalog.PROBLEM_NAMES, default="lq1d", help="catalog problem (default %(default)s)")
+        sp.add_argument("--dt", type=float, default=None, help="time step (default per problem)")
+        sp.add_argument("--horizon", type=float, default=None, help="horizon truncation T (default per problem)")
+        sp.add_argument("--x0", type=_float_list, default=None, help="initial state (default per problem)")
+        _add_discount(sp)
+
     solve.add_argument("--nx", type=int, default=None, help="grid points per state dimension (default per problem)")
     solve.add_argument("--window", type=int, default=None, help="memory slices for the residual diagnostic (default per problem)")
-    solve.add_argument("--x0", type=_float_list, default=None, help="summary evaluation state (default per problem)")
     solve.add_argument("--stride", type=int, default=None, help="emit every Nth time slice to CSV (default: about 200 slices)")
-    _add_discount(solve)
-    subs["solve"] = solve
 
-    cost = sub.add_parser("cost", help="forward-evaluate the discounted cost of a control law")
-    cost.add_argument("--problem", choices=catalog.PROBLEM_NAMES, default="lq1d", help="catalog problem (default %(default)s)")
-    cost.add_argument("--dt", type=float, default=None, help="time step (default per problem)")
-    cost.add_argument("--horizon", type=float, default=None, help="horizon truncation T (default per problem)")
-    cost.add_argument("--x0", type=_float_list, default=None, help="initial state (default per problem)")
     cost.add_argument("--policy", default=None, help="policy.csv file written by `solve` to replay")
     cost.add_argument(
         "--feedback",
@@ -159,8 +156,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         default="zero",
         help="builtin feedback law when no policy file is given (default %(default)s)",
     )
-    _add_discount(cost)
-    subs["cost"] = cost
 
     for sp in subs.values():
         sp.add_argument("--out", default=None, help="output file (or directory for solve)")
@@ -233,8 +228,6 @@ def _cmd_verify(args) -> int:
     delta_ml = _resolve("delta_ml")
     spec = DiscountSpec(args.alpha, args.lam)
     quad = QuadratureConfig(panels=args.panels)
-    if not args.s:
-        raise DomainError("--s must list at least one value")
     if not args.tol >= 0.0:
         raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
@@ -280,24 +273,38 @@ def _write_field_csv(path: str, header: list[str], times, axes, indices, columns
             fh.write((prefix + ("\n" + prefix).join(rows) + "\n") % tuple(columns(i).ravel().tolist()))
 
 
-def _cmd_solve(args) -> int:
+def _run_setup(args):
+    """(entry, spec, cfg, x0) of a `solve` or `cost` run; x0 is checked against the state box.
+
+    A flag left unset, or one the command lacks (`cost` has no --nx or
+    --window), takes the catalog entry's value.
+    """
     from . import catalog
     from .hjb import SolverConfig
+
+    def flag(name: str, default):
+        value = getattr(args, name, None)
+        return default if value is None else value
 
     entry = catalog.get(args.problem)
     spec = DiscountSpec(args.alpha, args.lam)
     cfg = SolverConfig(
-        dt=entry.dt if args.dt is None else args.dt,
-        horizon=entry.horizon if args.horizon is None else args.horizon,
-        nx=entry.nx if args.nx is None else args.nx,
-        window=entry.window if args.window is None else args.window,
+        dt=flag("dt", entry.dt),
+        horizon=flag("horizon", entry.horizon),
+        nx=flag("nx", entry.nx),
+        window=flag("window", entry.window),
     )
-    x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
+    x0 = tuple(flag("x0", entry.x0))
     if len(x0) != entry.problem.dim_x:
         raise DomainError(f"--x0 must have {entry.problem.dim_x} components for {entry.name}")
     box = entry.problem.box
     if not np.all((box[:, 0] <= x0) & (x0 <= box[:, 1])):
         raise DomainError(f"--x0 {','.join(map(str, x0))} lies outside the state box of {entry.name}")
+    return entry, spec, cfg, x0
+
+
+def _cmd_solve(args) -> int:
+    entry, spec, cfg, x0 = _run_setup(args)
     nt = cfg.steps
     value_idx = _slice_indices(nt + 1, args.stride)
     policy_idx = _slice_indices(nt, args.stride)
@@ -422,17 +429,9 @@ def _read_policy(path: str, dim_x: int, dim_u: int = 1):
 
 def _cmd_cost(args) -> int:
     from . import catalog
-    from .hjb import SolverConfig, lqr_oracle
+    from .hjb import lqr_oracle
 
-    entry = catalog.get(args.problem)
-    spec = DiscountSpec(args.alpha, args.lam)
-    cfg = SolverConfig(
-        dt=entry.dt if args.dt is None else args.dt,
-        horizon=entry.horizon if args.horizon is None else args.horizon,
-        nx=entry.nx,
-        window=entry.window,
-    )
-    x0 = tuple(entry.x0) if args.x0 is None else tuple(args.x0)
+    entry, spec, cfg, x0 = _run_setup(args)
     if args.policy is not None:
         law = _read_policy(args.policy, entry.problem.dim_x, entry.problem.controls.shape[1])
     elif args.feedback == "lqr":

@@ -85,7 +85,7 @@ class ControlProblem:
             raise DomainError("control_grid must be non-empty")
         box = np.asarray(self.state_box, dtype=float).reshape(-1, 2)
         if box.shape[0] != self.dim_x:
-            raise DomainError(f"state_box must give [lo, hi] per state dimension")
+            raise DomainError("state_box must give [lo, hi] per state dimension")
         if not np.all(box[:, 0] < box[:, 1]):
             raise DomainError("state_box entries must satisfy lo < hi")
         if self.boundary not in _BOUNDARIES:
@@ -420,8 +420,8 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     box = prob.box
     if x.shape != (prob.dim_x,):
         raise DomainError(f"x0 must have {prob.dim_x} components")
-    if np.any(x < box[:, 0]) or np.any(x > box[:, 1]):
-        raise DomainError(f"x0 {x0!r} lies outside the state box")
+    if not np.all((box[:, 0] <= x) & (x <= box[:, 1])):
+        raise DomainError(f"x0 {x.tolist()} lies outside the state box")
     if isinstance(law, Policy):
         law = law.control
     nt = cfg.steps
@@ -481,7 +481,5 @@ def lqr_oracle(a: float, b: float, q: float, r: float, lam: float) -> tuple[floa
     if b == 0.0:
         raise DomainError("b must be nonzero")
     disc = (2.0 * a + lam) ** 2 + 4.0 * q * b * b / r
-    if disc < 0.0:
-        raise DomainError(f"negative discriminant {disc!r}: no real stationary value")
     P = r * ((2.0 * a + lam) + math.sqrt(disc)) / (2.0 * b * b)
     return P, -P * b / r

@@ -64,6 +64,12 @@ class TestMl:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("z", ["nan", "inf"])
+    def test_non_finite_z_exits_2(self, z, capsys):
+        code, out, err = run(["ml", "--z", z], capsys)
+        assert (code, out) == (2, "")
+        assert "series argument must be finite" in err
+
     def test_missing_z_exits_2(self, capsys):
         code, _, err = run(["ml", "--alpha", "1"], capsys)
         assert code == 2
@@ -444,6 +450,19 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert "lam" in err
 
+    def test_comment_and_blank_lines_are_skipped(self, capsys, tmp_path):
+        cfg = tmp_path / "ml.cfg"
+        cfg.write_text("# E_1(1) = e\n\n   # indented comment\nalpha = 1\nz = 1\n")
+        code, out, _ = run(["ml", "--config", str(cfg)], capsys)
+        assert (code, out) == (0, "2.718281828459\n")
+
+    def test_empty_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "ml.cfg"
+        cfg.write_text("z = 1\n= 1\n")
+        code, out, err = run(["ml", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert ":2: empty key" in err
+
     def test_config_value_is_checked_like_its_flag(self, capsys, tmp_path):
         cfg = tmp_path / "cost.cfg"
         cfg.write_text("feedback = pid\n")
@@ -546,6 +565,29 @@ class TestCost:
         code, out, _ = run(["cost", "--problem", "lq1d", "--feedback", "lqr", "--x0", "1.0"], capsys)
         assert code == 0
         assert float(out) == pytest.approx(0.3903882032022076, rel=0.02)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--problem", "lq1d", "--x0", "nan"], "lies outside the state box of lq1d"),
+            (["--problem", "static1d", "--x0=nan", "--alpha", "0.8"], "lies outside the state box of static1d"),
+            (["--problem", "lq1d", "--x0=-inf"], "lies outside the state box of lq1d"),
+            (["--problem", "lq1d", "--x0", "2.001"], "lies outside the state box of lq1d"),
+            (["--problem", "osc2d", "--x0=1,2.5"], "lies outside the state box of osc2d"),
+            (["--problem", "osc2d", "--x0", "1"], "--x0 must have 2 components for osc2d"),
+        ],
+        ids=["lq1d-nan", "static1d-nan", "lq1d-inf", "lq1d-above", "osc2d-x2-above", "osc2d-one-component"],
+    )
+    def test_bad_x0_exits_2_before_reading_policy(self, argv, message, capsys, tmp_path):
+        # the policy file is missing, so an error that names x0 shows that x0 was checked first
+        code, out, err = run(["cost", *argv, "--policy", str(tmp_path / "absent.csv")], capsys)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_missing_policy_exits_2(self, capsys, tmp_path):
+        code, out, err = run(["cost", "--policy", str(tmp_path / "absent.csv")], capsys)
+        assert (code, out) == (2, "")
+        assert "cannot read policy file" in err
 
     def test_lqr_feedback_other_problem_exits_2(self, capsys):
         assert run(["cost", "--problem", "static1d", "--feedback", "lqr"], capsys)[0] == 2
@@ -714,6 +756,16 @@ class TestParser:
 
     def test_non_numeric_x0_exits_2(self, capsys):
         assert cli.main(["cost", "--x0", "a,b"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cost", "--x0=1,,"], ["verify", "--s", "0.25,,1"], ["solve", "--x0=,1"]],
+        ids=["cost-x0", "verify-s", "solve-x0"],
+    )
+    def test_empty_list_cell_exits_2(self, argv, capsys, tmp_path):
+        code, out, err = run([*argv, "--out", str(tmp_path / "out")], capsys)
+        assert (code, out) == (2, "")
+        assert "expected comma-separated floats" in err
 
     @pytest.mark.parametrize(
         "argv",

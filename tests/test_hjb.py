@@ -9,6 +9,7 @@ import pytest
 from scipy.special import erfcx
 
 from mlhjb import (
+    ConfigError,
     ControlProblem,
     DiscountSpec,
     DivergenceError,
@@ -52,6 +53,8 @@ class TestProblemTypes:
             ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(1, -1)])
         with pytest.raises(DomainError):
             ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)], boundary="wrap")
+        with pytest.raises(DomainError, match=r"state_box must give \[lo, hi\] per state dimension"):
+            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1), (-1, 1)])
 
     def test_solver_config_validation(self):
         with pytest.raises(DomainError):
@@ -71,6 +74,20 @@ class TestProblemTypes:
             solve_classical(LQ, DiscountSpec(1.0, -200.0), COARSE)
         with pytest.warns(UserWarning):
             solve_classical(LQ, DiscountSpec(1.0, 200.0), SolverConfig(dt=0.01, horizon=0.05, nx=65))
+
+
+class TestCatalog:
+    def test_unknown_name_raises(self):
+        with pytest.raises(ConfigError, match="unknown problem 'nope'; choose from lq1d, bounded1d"):
+            catalog.get("nope")
+
+    @pytest.mark.parametrize("name", catalog.PROBLEM_NAMES)
+    def test_each_call_builds_a_new_problem(self, name):
+        first, second = catalog.get(name), catalog.get(name)
+        assert first.name == name
+        assert first.problem is not second.problem
+        assert not np.shares_memory(first.problem.controls, second.problem.controls)
+        assert first.problem.dim_x == len(first.x0) == first.problem.box.shape[0]
 
 
 class TestSolveClassical:
@@ -350,6 +367,12 @@ class TestEvaluateCost:
     def test_x0_outside_box(self):
         with pytest.raises(DomainError):
             evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([0.0]), np.array([3.0]), COARSE)
+
+    @pytest.mark.parametrize("x0", [[math.nan], [-math.inf]], ids=["nan", "-inf"])
+    def test_non_finite_x0_is_outside_box(self, x0):
+        # NaN fails every comparison, so it must not pass as "not below lo, not above hi"
+        with pytest.raises(DomainError, match=r"x0 \[(nan|-inf)\] lies outside the state box"):
+            evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([0.0]), np.array(x0), COARSE)
 
     def test_policy_rollout_and_perturbations(self):
         spec = DiscountSpec(1.0, -0.5)
