@@ -7,7 +7,7 @@ and zero running cost) used for closed-form checks.  Dynamics f(x, u) and
 cost L(x, u) are numpy-vectorized over leading batch dimensions.
 
 Each problem is one row of a table keyed by its name: its ``ControlProblem``
-fields (the state dimension is the state box's) and its run defaults.
+fields and its run defaults.
 """
 
 from __future__ import annotations
@@ -98,5 +98,5 @@ def get(name: str) -> CatalogEntry:
 
     run = fields.pop("run")
     lo, hi, count = fields.pop("controls")
-    problem = ControlProblem(dim_x=len(fields["state_box"]), control_grid=np.linspace(lo, hi, count)[:, None], **fields)
+    problem = ControlProblem(control_grid=np.linspace(lo, hi, count)[:, None], **fields)
     return CatalogEntry(name=name, problem=problem, **run)

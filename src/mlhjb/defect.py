@@ -19,7 +19,11 @@ composite Gauss-Legendre panels.
 
 Distances to the singular endpoints are carried explicitly (never rebuilt by
 subtracting nearly equal floats), which keeps the kernels finite all the way
-into the corner tau -> t, sigma -> s.
+into the corner tau -> t, sigma -> s.  Each integral evaluates its special
+function once, over the nodes of both halves.
+
+``delta_ml`` is the public entry; F is evaluated inside it, at every outer
+node at once.
 """
 
 from __future__ import annotations
@@ -32,14 +36,9 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import DomainError
-from .specfun import DiscountSpec, kernel, kernel_deriv, ml_two
+from .specfun import DiscountSpec, kernel_deriv, ml_two
 
-__all__ = [
-    "QuadratureConfig",
-    "inner_f",
-    "delta_ml",
-    "semigroup_residual",
-]
+__all__ = ["QuadratureConfig", "delta_ml"]
 
 _GL_ORDER_OUTER = 6  # Gauss-Legendre nodes per panel, outer integral
 _GL_ORDER_INNER = 8  # higher order inside F, whose nodes are reused across all w
@@ -88,16 +87,6 @@ def _graded_nodes(length: float, panels: int, r: int, order: int = _GL_ORDER_OUT
     return x, weights
 
 
-def _validate_ts(t: float, s: float) -> tuple[float, float]:
-    t = float(t)
-    s = float(s)
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be positive and finite, got {t!r}")
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError(f"s must be non-negative and finite, got {s!r}")
-    return t, s
-
-
 def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
     """Shared sigma-quadrature of F.
 
@@ -113,9 +102,10 @@ def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
     sig_lo, w_lo = _graded_nodes(_SPLIT * s, q.panels, r_lo, _GL_ORDER_INNER)
     x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * s, q.panels, r_hi, _GL_ORDER_INNER)
     inv_gamma = 1.0 / math.gamma(1.0 - a)
-    g_lo = w_lo * kernel_deriv(spec, sig_lo) * inv_gamma
-    g_hi = w_hi * kernel_deriv(spec, s - x_hi) * inv_gamma
-    return sig_lo, g_lo, x_hi, g_hi
+    sig = np.concatenate([sig_lo, s - x_hi])
+    g = (np.concatenate([w_lo, w_hi]) * kernel_deriv(spec, sig)) * inv_gamma
+    n = len(sig_lo)
+    return sig_lo, g[:n], x_hi, g[n:]
 
 
 def _inner_apply(blocks, s: float, alpha: float, w: np.ndarray) -> np.ndarray:
@@ -124,23 +114,6 @@ def _inner_apply(blocks, s: float, alpha: float, w: np.ndarray) -> np.ndarray:
     k_lo = (w[:, None] + (s - sig_lo)[None, :]) ** (-alpha)
     k_hi = (w[:, None] + x_hi[None, :]) ** (-alpha)
     return k_lo @ g_lo + k_hi @ g_hi
-
-
-def inner_f(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None = None) -> float:
-    """Inner convolution F(t) of the defect representation.
-
-    Computes int_0^s (t + s - sigma)^(-a) / Gamma(1-a) * kernel_deriv(sigma)
-    dsigma.  Requires 0 < alpha < 1 (the 1/Gamma(1-a) prefactor has a pole at
-    alpha = 1, where the defect vanishes identically) and t > 0, s >= 0.
-    """
-    q = q or _DEFAULT_QUAD
-    if spec.alpha >= 1.0:
-        raise DomainError("inner_f requires alpha < 1; the defect vanishes at alpha = 1")
-    t, s = _validate_ts(t, s)
-    if s == 0.0 or spec.lam == 0.0:
-        return 0.0
-    blocks = _inner_blocks(spec, s, q)
-    return float(_inner_apply(blocks, s, spec.alpha, np.array([t]))[0])
 
 
 def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None = None) -> float:
@@ -152,25 +125,21 @@ def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None 
     constant kernel, and exact semigroup respectively).
     """
     q = q or _DEFAULT_QUAD
-    t, s = _validate_ts(t, s)
+    t = float(t)
+    s = float(s)
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be positive and finite, got {t!r}")
+    if not (math.isfinite(s) and s >= 0.0):
+        raise DomainError(f"s must be non-negative and finite, got {s!r}")
     if s == 0.0 or spec.lam == 0.0 or spec.alpha == 1.0:
         return 0.0
     a = spec.alpha
     blocks = _inner_blocks(spec, s, q)
     tau_lo, w_lo = _graded_nodes(_SPLIT * t, q.panels, _grade_exponent(a))
     x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * t, q.panels, _grade_exponent(2.0 - a))
-    tau_hi = t - x_hi
-    body_lo = tau_lo ** (a - 1.0) * ml_two(a, a, spec.lam * tau_lo**a)
-    body_hi = tau_hi ** (a - 1.0) * ml_two(a, a, spec.lam * tau_hi**a)
+    tau = np.concatenate([tau_lo, t - x_hi])
+    outer_w = np.concatenate([w_lo, w_hi]) * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
     # w = t - tau, kept exact near the tau = t endpoint by construction
-    w_args = np.concatenate([t - tau_lo, x_hi])
-    outer_w = np.concatenate([w_lo * body_lo, w_hi * body_hi])
-    f_vals = _inner_apply(blocks, s, a, w_args)
+    f_vals = _inner_apply(blocks, s, a, np.concatenate([t - tau_lo, x_hi]))
     return float(np.dot(outer_w, f_vals))
 
-
-def semigroup_residual(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None = None) -> float:
-    """kernel(t) kernel(s) - Delta(t, s) - kernel(t + s); zero up to quadrature."""
-    t, s = _validate_ts(t, s)
-    prod = float(kernel(spec, t)) * float(kernel(spec, s))
-    return prod - delta_ml(spec, t, s, q) - float(kernel(spec, t + s))

@@ -68,9 +68,12 @@ _ESCAPE_INFLATION = 1.5
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Dynamics f(x, u), running cost L(x, u), control grid, and state box of one problem."""
+    """Dynamics f(x, u), running cost L(x, u), control grid, and state box of one problem.
 
-    dim_x: int
+    The state box is one or two [lo, hi] pairs, each finite with lo < hi;
+    the state dimension ``dim_x`` is the number of pairs.
+    """
+
     dynamics: Callable
     running_cost: Callable
     control_grid: Sequence
@@ -78,16 +81,17 @@ class ControlProblem:
     boundary: str = "clamp_gradient"
 
     def __post_init__(self) -> None:
-        if self.dim_x not in (1, 2):
-            raise DomainError(f"dim_x must be 1 or 2, got {self.dim_x!r}")
         controls = np.atleast_2d(np.asarray(self.control_grid, dtype=float))
         if controls.size == 0:
             raise DomainError("control_grid must be non-empty")
-        box = np.asarray(self.state_box, dtype=float).reshape(-1, 2)
-        if box.shape[0] != self.dim_x:
-            raise DomainError("state_box must give [lo, hi] per state dimension")
-        if not np.all(box[:, 0] < box[:, 1]):
-            raise DomainError("state_box entries must satisfy lo < hi")
+        try:
+            box = np.asarray(self.state_box, dtype=float).reshape(-1, 2)
+        except (TypeError, ValueError):  # ragged, non-numeric or an odd number of ends
+            box = np.empty((0, 2))
+        if len(box) not in (1, 2) or not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+            raise DomainError(
+                f"state_box must be one or two [lo, hi] pairs, each finite with lo < hi, got {self.state_box!r}"
+            )
         if self.boundary not in _BOUNDARIES:
             raise DomainError(f"boundary must be one of {_BOUNDARIES}, got {self.boundary!r}")
         object.__setattr__(self, "_controls", controls)
@@ -102,6 +106,11 @@ class ControlProblem:
     def box(self) -> np.ndarray:
         """State box as a (dim_x, 2) array."""
         return self._box
+
+    @property
+    def dim_x(self) -> int:
+        """State dimension: the number of [lo, hi] pairs in the box."""
+        return len(self._box)
 
 
 @dataclass(frozen=True)
@@ -347,7 +356,7 @@ def _march(
             np.add(l_dt, cand, out=cand)
             best = np.argmin(cand, axis=-1)
             slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
-            if not np.all(np.isfinite(slice_i)) or np.abs(slice_i).max() > _DIVERGENCE_LIMIT:
+            if not np.abs(slice_i).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
                 raise DivergenceError(f"value field diverged at t = {times[i]:g}")
             if i in where:
                 policy[where[i]] = best
@@ -419,7 +428,7 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     box = prob.box
     if x.shape != (prob.dim_x,):
-        raise DomainError(f"x0 must have {prob.dim_x} components")
+        raise DomainError(f"x0 must have one component per state dimension ({prob.dim_x}), got {x.size}")
     if not np.all((box[:, 0] <= x) & (x <= box[:, 1])):
         raise DomainError(f"x0 {x.tolist()} lies outside the state box")
     if isinstance(law, Policy):
@@ -474,6 +483,8 @@ def lqr_oracle(a: float, b: float, q: float, r: float, lam: float) -> tuple[floa
     Solves (b^2/r) P^2 - (2a + lam) P - q = 0 for the root reached by value
     iteration and returns (P, k) with feedback u = k x, k = -P b / r.
     """
+    if not all(math.isfinite(v) for v in (a, b, q, r, lam)):
+        raise DomainError(f"a, b, q, r and lam must be finite, got {(a, b, q, r, lam)!r}")
     if not (r > 0.0):
         raise DomainError(f"r must be positive, got {r!r}")
     if not (q >= 0.0):

@@ -59,6 +59,19 @@ class TestMl:
         assert link.read_text() == out
         assert target.read_text() == "keep\n"
 
+    def test_console_script_entry_point(self):
+        # the installed `mlhjb` script calls console_main, which exits with main's code
+        script = (
+            "import sys\n"
+            "from mlhjb import cli\n"
+            "sys.argv = ['mlhjb', 'ml', '--alpha', '1', '--z', '1']\n"
+            "cli.console_main()\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert (res.returncode, res.stdout, res.stderr) == (0, "2.718281828459\n", "")
+
     def test_domain_error_exits_2(self, capsys):
         code, _, err = run(["ml", "--alpha", "0", "--z", "2"], capsys)
         assert code == 2

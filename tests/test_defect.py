@@ -5,16 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mlhjb import (
-    DiscountSpec,
-    DomainError,
-    QuadratureConfig,
-    delta_ml,
-    inner_f,
-    kernel,
-    kernel_deriv,
-    semigroup_residual,
-)
+from mlhjb import DiscountSpec, DomainError, QuadratureConfig, delta_ml, kernel, kernel_deriv
+from mlhjb import defect
 
 SPEC_HALF = DiscountSpec(0.5, -1.0)
 
@@ -35,15 +27,18 @@ class TestQuadratureConfig:
             QuadratureConfig(panels=3)
 
 
-class TestInnerF:
-    def test_empty_interval(self):
-        assert inner_f(SPEC_HALF, 1.0, 0.0) == 0.0
+def _inner_f(spec, w, s, q=QuadratureConfig()):
+    """Inner convolution F(w) = int_0^s (w + s - sigma)^(-a) / Gamma(1-a) * kernel_deriv(sigma) dsigma."""
+    blocks = defect._inner_blocks(spec, s, q)
+    return float(defect._inner_apply(blocks, s, spec.alpha, np.array([w]))[0])
 
+
+class TestInnerF:
     def test_small_s_goes_to_zero(self):
-        assert abs(inner_f(SPEC_HALF, 1.0, 1e-6)) < 1e-3
+        assert abs(_inner_f(SPEC_HALF, 1.0, 1e-6)) < 1e-3
 
     def test_frozen_oracle(self):
-        assert inner_f(SPEC_HALF, 1.0, 0.5) == pytest.approx(INNER_1_05, abs=1e-9)
+        assert _inner_f(SPEC_HALF, 1.0, 0.5) == pytest.approx(INNER_1_05, abs=1e-9)
 
     def test_dense_midpoint_oracle(self):
         # independent dense-grid route: substitute sigma = y^2, midpoint rule
@@ -55,22 +50,12 @@ class TestInnerF:
             kernel_deriv(SPEC_HALF, sig)
         ) * 2.0 * y
         ref = float(vals.sum() * h)
-        assert inner_f(SPEC_HALF, 1.0, 0.5) == pytest.approx(ref, rel=1e-8)
+        assert _inner_f(SPEC_HALF, 1.0, 0.5) == pytest.approx(ref, rel=1e-8)
 
     def test_panel_doubling(self):
-        f8 = inner_f(SPEC_HALF, 1.0, 0.5)
-        f16 = inner_f(SPEC_HALF, 1.0, 0.5, QuadratureConfig(panels=16))
+        f8 = _inner_f(SPEC_HALF, 1.0, 0.5)
+        f16 = _inner_f(SPEC_HALF, 1.0, 0.5, QuadratureConfig(panels=16))
         assert abs(f16 - f8) < 1e-8 * abs(f16)
-
-    def test_alpha_one_rejected(self):
-        with pytest.raises(DomainError):
-            inner_f(DiscountSpec(1.0, -1.0), 1.0, 0.5)
-
-    def test_bad_times(self):
-        with pytest.raises(DomainError):
-            inner_f(SPEC_HALF, 0.0, 0.5)
-        with pytest.raises(DomainError):
-            inner_f(SPEC_HALF, 1.0, -0.5)
 
 
 class TestDeltaMl:
@@ -102,30 +87,40 @@ class TestDeltaMl:
         with pytest.raises(DomainError):
             delta_ml(SPEC_HALF, 1.0, -0.25)
 
+    def test_one_special_function_call_per_integral(self, monkeypatch):
+        # the outer integral's ml_two and the inner one's kernel_deriv each run once, over both halves
+        calls = []
+        for name in ("ml_two", "kernel_deriv"):
+            fn = getattr(defect, name)
+            monkeypatch.setattr(defect, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
+        assert delta_ml(SPEC_HALF, 1.0, 0.5) == pytest.approx(DELTA_1_05, abs=2e-9)
+        assert sorted(calls) == ["kernel_deriv", "ml_two"]
+
 
 class TestSemigroupResidual:
+    """kernel(t) kernel(s) - Delta(t, s) - kernel(t + s) is zero up to quadrature error."""
+
     def test_alpha_one_machine_zero(self):
-        spec = DiscountSpec(1.0, -1.0)
-        assert abs(semigroup_residual(spec, 1.0, 0.5)) < 1e-12
+        spec, t, s = DiscountSpec(1.0, -1.0), 1.0, 0.5
+        resid = float(kernel(spec, t)) * float(kernel(spec, s)) - delta_ml(spec, t, s) - float(kernel(spec, t + s))
+        assert abs(resid) < 1e-12
 
     def test_pinned_negative_lambda(self):
-        assert abs(semigroup_residual(SPEC_HALF, 1.0, 0.5)) <= 1e-6
+        spec, t, s = SPEC_HALF, 1.0, 0.5
+        resid = float(kernel(spec, t)) * float(kernel(spec, s)) - delta_ml(spec, t, s) - float(kernel(spec, t + s))
+        assert abs(resid) <= 1e-6
 
     def test_pinned_positive_lambda(self):
-        assert abs(semigroup_residual(DiscountSpec(0.3, 0.5), 0.5, 0.25)) <= 1e-6
+        spec, t, s = DiscountSpec(0.3, 0.5), 0.5, 0.25
+        resid = float(kernel(spec, t)) * float(kernel(spec, s)) - delta_ml(spec, t, s) - float(kernel(spec, t + s))
+        assert abs(resid) <= 1e-6
 
     def test_spot_grid_with_refinement(self):
         fine = QuadratureConfig(panels=16)
+        t = s = 1.0
         for a in (0.3, 0.9):
             for lam in (-1.0, 0.5):
                 spec = DiscountSpec(a, lam)
-                assert abs(semigroup_residual(spec, 1.0, 1.0)) <= 1e-5
-                assert abs(semigroup_residual(spec, 1.0, 1.0, fine)) <= 1e-7
-
-    def test_consistency_with_parts(self):
-        spec = DiscountSpec(0.6, -0.8)
-        t, s = 0.75, 0.4
-        manual = float(kernel(spec, t)) * float(kernel(spec, s)) - delta_ml(spec, t, s) - float(
-            kernel(spec, t + s)
-        )
-        assert semigroup_residual(spec, t, s) == pytest.approx(manual, abs=1e-15)
+                prod, joint = float(kernel(spec, t)) * float(kernel(spec, s)), float(kernel(spec, t + s))
+                assert abs(prod - delta_ml(spec, t, s) - joint) <= 1e-5
+                assert abs(prod - delta_ml(spec, t, s, fine) - joint) <= 1e-7

@@ -35,7 +35,6 @@ COARSE = SolverConfig(dt=0.01, horizon=5.0, nx=65)
 
 def _lq_scaled(c: float) -> ControlProblem:
     return ControlProblem(
-        dim_x=1,
         dynamics=lambda x, u: u,
         running_cost=lambda x, u: c * 0.5 * (x[..., 0] ** 2 + u[..., 0] ** 2),
         control_grid=np.linspace(-2.5, 2.5, 101)[:, None],
@@ -45,16 +44,22 @@ def _lq_scaled(c: float) -> ControlProblem:
 
 class TestProblemTypes:
     def test_control_problem_validation(self):
+        for controls, box in [
+            ([[0.0]], [(-1, 1)] * 3),  # three state dimensions
+            ([], [(-1, 1)]),
+            ([[0.0]], [(1, -1)]),
+            ([[0.0]], [(-1, 1, 0)]),  # odd number of ends
+            ([[0.0]], [(-math.inf, 1)]),
+            ([[0.0]], [(-1, 1), (0, math.nan)]),
+            ([[0.0]], [(-1, 1), (0,)]),  # ragged
+            ([[0.0]], []),
+        ]:
+            with pytest.raises(DomainError):
+                ControlProblem(lambda x, u: u, lambda x, u: 0.0, controls, box)
         with pytest.raises(DomainError):
-            ControlProblem(3, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)] * 3)
-        with pytest.raises(DomainError):
-            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [], [(-1, 1)])
-        with pytest.raises(DomainError):
-            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(1, -1)])
-        with pytest.raises(DomainError):
-            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)], boundary="wrap")
-        with pytest.raises(DomainError, match=r"state_box must give \[lo, hi\] per state dimension"):
-            ControlProblem(1, lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1), (-1, 1)])
+            ControlProblem(lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)], boundary="wrap")
+        with pytest.raises(TypeError):  # the state dimension is the box's, not declared
+            ControlProblem(lambda x, u: u, lambda x, u: 0.0, [[0.0]], [(-1, 1)], dim_x=1)
 
     def test_solver_config_validation(self):
         with pytest.raises(DomainError):
@@ -127,6 +132,15 @@ class TestSolveClassical:
         with pytest.raises(DivergenceError):
             solve_classical(prob, DiscountSpec(1.0, 5.0), SolverConfig(dt=0.01, horizon=20.0, nx=9))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_running_cost_detected(self, bad):
+        # a NaN fails every comparison, so the check must not read it as "not above the limit"
+        prob = ControlProblem(
+            lambda x, u: np.zeros_like(x), lambda x, u: np.full(x.shape[:-1], bad), [[0.0]], [(-1, 1)]
+        )
+        with pytest.raises(DivergenceError, match="value field diverged at t = 0.99"):
+            solve_classical(prob, DiscountSpec(1.0, -0.5), SolverConfig(dt=0.01, horizon=1.0, nx=9))
+
 
 class TestSolveFractional:
     def test_alpha_one_routes_to_classical(self):
@@ -138,7 +152,6 @@ class TestSolveFractional:
     def test_tie_breaks_low_index(self):
         # every control costs the same and moves nothing: the argmin ties everywhere
         prob = ControlProblem(
-            1,
             lambda x, u: np.zeros_like(x),
             lambda x, u: np.ones(x.shape[:-1]),
             [[-1.0], [0.0], [1.0]],
@@ -368,6 +381,10 @@ class TestEvaluateCost:
         with pytest.raises(DomainError):
             evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([0.0]), np.array([3.0]), COARSE)
 
+    def test_x0_component_count(self):
+        with pytest.raises(DomainError, match=r"x0 must have one component per state dimension \(1\), got 2"):
+            evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([0.0]), np.array([0.0, 0.0]), COARSE)
+
     @pytest.mark.parametrize("x0", [[math.nan], [-math.inf]], ids=["nan", "-inf"])
     def test_non_finite_x0_is_outside_box(self, x0):
         # NaN fails every comparison, so it must not pass as "not below lo, not above hi"
@@ -576,13 +593,19 @@ class TestLqrOracle:
             lqr_oracle(0.0, 1.0, -1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             lqr_oracle(0.0, 0.0, 1.0, 1.0, 0.0)
+        # every argument must be finite
+        for k in range(5):
+            for bad in (math.nan, math.inf, -math.inf):
+                args = [0.0, 1.0, 1.0, 1.0, 0.0]
+                args[k] = bad
+                with pytest.raises(DomainError):
+                    lqr_oracle(*args)
 
 
 class TestBoundaryModes:
     def _drift(self, boundary):
         # uncontrolled rightward drift: feet leave the box at the right edge
         return ControlProblem(
-            dim_x=1,
             dynamics=lambda x, u: np.ones_like(x),
             running_cost=lambda x, u: x[..., 0] ** 2,
             control_grid=[[0.0]],
