@@ -257,20 +257,21 @@ def _slice_indices(count: int, stride: int | None) -> list[int]:
     return idx
 
 
-def _write_field_csv(path: str, header: list[str], times, axes, indices, columns) -> None:
-    """Write ``header``, then one row "t,x...,v..." per grid node of each slice in ``indices``.
+def _write_field_csv(path: str, header: list[str], axes, slices) -> None:
+    """Write ``header``, then one row "t,x...,v..." per grid node of each (t, values) pair in ``slices``.
 
-    ``columns(i)`` returns slice i as a (nodes, k) array, nodes in the grid's
-    C order.  Cells are ``%.12g``; a slice is formatted and written at once.
+    ``values`` holds the slice's cells, nodes in the grid's C order, as a
+    (nodes, k) array or one that ravels to it.  Cells are ``%.12g``; a slice
+    is formatted and written at once.
     """
     coords = [[_fmt_csv(c) + "," for c in ax] for ax in axes]
     cells = ",".join(["%.12g"] * (len(header) - 1 - len(axes)))
     rows = ["".join(node) + cells for node in itertools.product(*coords)]
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
-        for i in indices:
-            prefix = _fmt_csv(times[i]) + ","
-            fh.write((prefix + ("\n" + prefix).join(rows) + "\n") % tuple(columns(i).ravel().tolist()))
+        for t, values in slices:
+            prefix = _fmt_csv(t) + ","
+            fh.write((prefix + ("\n" + prefix).join(rows) + "\n") % tuple(values.ravel().tolist()))
 
 
 def _run_setup(args):
@@ -296,7 +297,9 @@ def _run_setup(args):
     )
     x0 = tuple(flag("x0", entry.x0))
     if len(x0) != entry.problem.dim_x:
-        raise DomainError(f"--x0 must have {entry.problem.dim_x} components for {entry.name}")
+        raise DomainError(
+            f"--x0 must have one component per state dimension of {entry.name} ({entry.problem.dim_x}), got {len(x0)}"
+        )
     box = entry.problem.box
     if not np.all((box[:, 0] <= x0) & (x0 <= box[:, 1])):
         raise DomainError(f"--x0 {','.join(map(str, x0))} lies outside the state box of {entry.name}")
@@ -305,43 +308,19 @@ def _run_setup(args):
 
 def _cmd_solve(args) -> int:
     entry, spec, cfg, x0 = _run_setup(args)
-    nt = cfg.steps
-    value_idx = _slice_indices(nt + 1, args.stride)
-    policy_idx = _slice_indices(nt, args.stride)
-    kept = sorted(set(value_idx) | set(policy_idx))
-    where = dict(zip(kept, range(len(kept))))
+    kept = _slice_indices(cfg.steps + 1, args.stride)
     fld, pol = _resolve("solve_fractional")(entry.problem, spec, cfg, slices=kept)
     outdir = args.out or os.environ.get(_ENV_OUT) or "."
     os.makedirs(outdir, exist_ok=True)
     axes = fld.axes
     xcols = ["x"] if len(axes) == 1 else ["x1", "x2"]
-
-    value_pos = [where[i] for i in value_idx]
-    _write_field_csv(
-        os.path.join(outdir, "value.csv"),
-        ["t"] + xcols + ["V"],
-        fld.times,
-        axes,
-        value_pos,
-        lambda k: fld.values[k].reshape(-1, 1),
-    )
     ucols = ["u"] if pol.control_grid.shape[1] == 1 else [f"u{k+1}" for k in range(pol.control_grid.shape[1])]
-    _write_field_csv(
-        os.path.join(outdir, "policy.csv"),
-        ["t"] + xcols + ucols,
-        pol.times,
-        axes,
-        [where[i] for i in policy_idx],
-        lambda k: pol.control_grid[pol.controls[k].ravel()],
-    )
-    _write_field_csv(
-        os.path.join(outdir, "residual.csv"),
-        ["t"] + xcols + ["residual"],
-        fld.times,
-        axes,
-        [k for k in value_pos if np.all(np.isfinite(fld.residual[k]))],
-        lambda k: fld.residual[k].reshape(-1, 1),
-    )
+    for name, cols, slices in (
+        ("value.csv", ["V"], zip(fld.times, fld.values)),
+        ("policy.csv", ucols, ((t, pol.control_grid[c.ravel()]) for t, c in zip(pol.times, pol.controls))),
+        ("residual.csv", ["residual"], ((t, r) for t, r in zip(fld.times, fld.residual) if np.all(np.isfinite(r)))),
+    ):
+        _write_field_csv(os.path.join(outdir, name), ["t"] + xcols + cols, axes, slices)
     print(f"V(x0,0) = {_fmt_line(fld.at(np.asarray(x0), 0))}")
     return EXIT_OK
 

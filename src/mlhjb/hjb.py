@@ -26,10 +26,11 @@ multiply-add and an argmin, written into buffers allocated once per solve;
 the residual pass likewise evaluates L and f once and reuses one
 Hamiltonian buffer.
 
-The march keeps the last window + 2 slices in a ring and copies out only
-the time slices the caller asks for; the residual of a kept slice is
-computed as soon as its window is complete.  Memory then grows with the
-grid and the number of kept slices, not with the horizon.
+The march keeps the last window + 2 slices in a ring, each once, and copies
+out only the time slices the caller asks for and their decisions; the
+residual of a kept slice is computed as soon as its window is complete.
+Memory then grows with the grid and the number of kept slices, not with
+the horizon.
 
 A solved Policy carries its own time and state grid; the forward rollout
 looks its control up at the nearest (t, x) node, lowest index on ties.
@@ -66,12 +67,21 @@ _DIVERGENCE_LIMIT = 1e12
 _ESCAPE_INFLATION = 1.5
 
 
+def _float_array(seq) -> np.ndarray:
+    """``seq`` as a float array; an empty one if it is ragged or not numeric."""
+    try:
+        return np.asarray(seq, dtype=float)
+    except (TypeError, ValueError):
+        return np.empty(0)
+
+
 @dataclass(frozen=True)
 class ControlProblem:
     """Dynamics f(x, u), running cost L(x, u), control grid, and state box of one problem.
 
-    The state box is one or two [lo, hi] pairs, each finite with lo < hi;
-    the state dimension ``dim_x`` is the number of pairs.
+    The control grid is a non-empty, finite (count, dim_u) array.  The state
+    box is one or two [lo, hi] pairs, each finite with lo < hi; the state
+    dimension ``dim_x`` is the number of pairs.
     """
 
     dynamics: Callable
@@ -81,14 +91,10 @@ class ControlProblem:
     boundary: str = "clamp_gradient"
 
     def __post_init__(self) -> None:
-        controls = np.atleast_2d(np.asarray(self.control_grid, dtype=float))
-        if controls.size == 0:
-            raise DomainError("control_grid must be non-empty")
-        try:
-            box = np.asarray(self.state_box, dtype=float).reshape(-1, 2)
-        except (TypeError, ValueError):  # ragged, non-numeric or an odd number of ends
-            box = np.empty((0, 2))
-        if len(box) not in (1, 2) or not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
+        controls, box = _float_array(self.control_grid), _float_array(self.state_box)
+        if controls.ndim != 2 or controls.size == 0 or not np.all(np.isfinite(controls)):
+            raise DomainError(f"control_grid must be a non-empty, finite (count, dim_u) array, got {self.control_grid!r}")
+        if box.shape not in ((1, 2), (2, 2)) or not (np.all(np.isfinite(box)) and np.all(box[:, 0] < box[:, 1])):
             raise DomainError(
                 f"state_box must be one or two [lo, hi] pairs, each finite with lo < hi, got {self.state_box!r}"
             )
@@ -130,6 +136,8 @@ class SolverConfig:
         steps = self.horizon / self.dt
         if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
             raise DomainError("horizon must be an integer number of dt steps")
+        if round(steps) < 1:
+            raise DomainError(f"horizon must be at least one dt step, got {self.horizon!r} at dt {self.dt!r}")
         if not (isinstance(self.nx, int) and self.nx >= 8):
             raise DomainError(f"nx must be an integer >= 8, got {self.nx!r}")
         if not (isinstance(self.window, int) and self.window >= 1):
@@ -317,16 +325,19 @@ def _march(
 ) -> tuple[ValueField, Policy]:
     """March backward from the zero terminal slice, keeping only the ``slices`` steps.
 
-    Slices live in a ring of R = window + 2 (2 when no residual row has a
-    full window), each written at k and k + R of a 2R buffer, so the slices
-    from step i up to i + window + 1 are always one contiguous view.  With
-    ``residual`` the residual of each kept step window <= r < nt is computed
-    as soon as slice r - window exists; other rows are NaN.
+    The Policy row of kept step k is the decision at step min(k, nt - 1):
+    the terminal step has none of its own and takes the last one.  The last
+    R = window + 2 slices (2 when no residual row has a full window) live in
+    a ring, slice i at i mod R.  With ``residual`` the residual of each kept
+    step window <= r < nt is computed as soon as slice r - window exists;
+    other rows are NaN.
     """
     _stability_guard(spec, cfg.dt)
     nt = cfg.steps
     kept = _kept(slices, nt)
+    decided = sorted({min(k, nt - 1) for k in kept})
     where = dict(zip(kept, range(len(kept))))
+    decision = dict(zip(decided, range(len(decided))))
     axes = _axes_for(prob, cfg.nx)
     states = _grid_states(axes)
     shape = states.shape[:-1]
@@ -336,9 +347,9 @@ def _march(
     else:
         disc = float(kernel(spec, cfg.dt))
     ring_len = cfg.window + 2 if residual and cfg.window < nt else 2
-    ring = np.empty((2 * ring_len,) + shape)
+    ring = np.empty((ring_len,) + shape)
     values = np.empty((len(kept),) + shape)
-    policy = np.zeros((bisect_left(kept, nt),) + shape, dtype=np.int32)
+    policy = np.zeros((len(decided),) + shape, dtype=np.int32)
     res = np.full_like(values, np.nan) if residual else None
     # one (grid, controls) batch serves the step and the residual
     L, F = _batched_LF(prob, states)
@@ -358,19 +369,19 @@ def _march(
             slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
             if not np.abs(slice_i).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
                 raise DivergenceError(f"value field diverged at t = {times[i]:g}")
-            if i in where:
-                policy[where[i]] = best
+            if i in decision:
+                policy[decision[i]] = best
         k = i % ring_len
-        ring[k] = ring[k + ring_len] = slice_i
+        ring[k] = slice_i
         if i in where:
             values[where[i]] = slice_i
         r = i + cfg.window
         if row and r < nt and r in where:
-            row(ring[k : k + ring_len], res[where[r]])
-    kept_times = times[kept]
+            # slices i .. i + window + 1, oldest first
+            row(np.roll(ring, -k, axis=0), res[where[r]])
     return (
-        ValueField(times=kept_times, axes=axes, values=values, residual=res),
-        Policy(controls=policy, control_grid=prob.controls, times=kept_times[: len(policy)], axes=axes),
+        ValueField(times=times[kept], axes=axes, values=values, residual=res),
+        Policy(controls=policy, control_grid=prob.controls, times=times[decided], axes=axes),
     )
 
 
@@ -393,10 +404,12 @@ def solve_fractional(
     ``slices`` (increasing step indices in [0, cfg.steps]) selects the time
     slices returned; the default returns all cfg.steps + 1.  Given, the
     ValueField holds those steps' times, values and residual rows in that
-    order, and the Policy those below cfg.steps, so ``time_index`` counts
-    kept slices.  The march then holds window + 2 slices besides the kept
-    ones, and the residual is computed only on kept rows; each kept number
-    has the same bits as in the full solve.
+    order, so ``time_index`` counts kept slices.  The Policy holds the
+    decision of each kept step k at step min(k, cfg.steps - 1), once each:
+    the terminal step has no decision and takes the last one.  The march
+    then holds window + 2 slices besides the kept ones, and the residual is
+    computed only on kept rows; each kept number has the same bits as in the
+    full solve.
     """
     if cfg.window < 10:
         warnings.warn(f"memory window of {cfg.window} slices is short; residual diagnostics may be crude")

@@ -354,7 +354,7 @@ class TestSolve:
     def test_bad_x0_exits_2_before_writing(self, capsys, tmp_path):
         code, _, err = run(["solve", "--problem", "osc2d", "--x0", "1", "--out", str(tmp_path)], capsys)
         assert code == 2
-        assert "--x0 must have 2 components" in err
+        assert "--x0 must have one component per state dimension of osc2d (2), got 1" in err
         assert list(tmp_path.glob("*.csv")) == []
 
     @pytest.mark.parametrize(
@@ -379,6 +379,35 @@ class TestSolve:
         with open(tmp_path / "value.csv", newline="") as fh:
             tcol = {row[0] for row in list(csv.reader(fh))[1:]}
         assert tcol == {"0", "0.5", "1"}
+
+    def test_one_residual_row_per_written_slice(self, capsys, tmp_path, monkeypatch):
+        # step nt - 1 = 49 is off the stride: it is a policy row, not a value or residual row
+        from mlhjb import hjb
+
+        deriv, calls = hjb.rl_window_deriv, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return deriv(*args, **kwargs)
+
+        monkeypatch.setattr(hjb, "rl_window_deriv", counted)
+        code, _, _ = run(["solve", "--problem", "lq1d", *FAST_SOLVE, "--stride", "3", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        with open(tmp_path / "residual.csv", newline="") as fh:
+            written = {row[0] for row in list(csv.reader(fh))[1:]}
+        assert len(written) == 14
+        assert len(calls) == len(written)
+
+    def test_policy_times_are_value_times_with_the_last_decision(self, capsys, tmp_path):
+        # nt = 201 is a multiple of the default's 201 slices: both files use the value stride
+        code, _, _ = run(["solve", "--problem", "zero1d", "--horizon", "2.01", "--out", str(tmp_path)], capsys)
+        assert code == 0
+        times = {}
+        for name in ("value.csv", "policy.csv"):
+            with open(tmp_path / name, newline="") as fh:
+                times[name] = sorted({float(row[0]) for row in list(csv.reader(fh))[1:]})
+        assert len(times["value.csv"]) == 102
+        assert times["policy.csv"] == times["value.csv"][:-1]
 
 
 class TestOutputErrors:
@@ -413,6 +442,25 @@ class TestInfiniteHorizon:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "horizon" in err
+
+
+class TestSubStepHorizon:
+    # a horizon that rounds to zero steps has no march and no rollout
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cost", "--dt", "1", "--horizon", "1e-10"],
+            ["cost", "--problem", "static1d", "--dt", "0.01", "--horizon", "1e-11"],
+            ["solve", "--dt", "1", "--horizon", "1e-10"],
+        ],
+        ids=["cost", "cost-static1d", "solve"],
+    )
+    def test_exits_2(self, argv, capsys, tmp_path):
+        code, out, err = run([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "at least one dt step" in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigFile:
@@ -587,9 +635,13 @@ class TestCost:
             (["--problem", "lq1d", "--x0=-inf"], "lies outside the state box of lq1d"),
             (["--problem", "lq1d", "--x0", "2.001"], "lies outside the state box of lq1d"),
             (["--problem", "osc2d", "--x0=1,2.5"], "lies outside the state box of osc2d"),
-            (["--problem", "osc2d", "--x0", "1"], "--x0 must have 2 components for osc2d"),
+            (["--problem", "osc2d", "--x0", "1"], "--x0 must have one component per state dimension of osc2d (2), got 1"),
+            (["--problem", "lq1d", "--x0", "1,2"], "--x0 must have one component per state dimension of lq1d (1), got 2"),
         ],
-        ids=["lq1d-nan", "static1d-nan", "lq1d-inf", "lq1d-above", "osc2d-x2-above", "osc2d-one-component"],
+        ids=[
+            "lq1d-nan", "static1d-nan", "lq1d-inf", "lq1d-above", "osc2d-x2-above", "osc2d-one-component",
+            "lq1d-two-components",
+        ],
     )
     def test_bad_x0_exits_2_before_reading_policy(self, argv, message, capsys, tmp_path):
         # the policy file is missing, so an error that names x0 shows that x0 was checked first

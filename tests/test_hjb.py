@@ -53,6 +53,14 @@ class TestProblemTypes:
             ([[0.0]], [(-1, 1), (0, math.nan)]),
             ([[0.0]], [(-1, 1), (0,)]),  # ragged
             ([[0.0]], []),
+            ([-1.0, 0.0, 1.0], [(-1, 1)]),  # 1-D grid: three controls, or one 3-D control?
+            ([[0.0], [0.0, 1.0]], [(-1, 1)]),  # ragged grid
+            ([[math.nan]], [(-1, 1)]),
+            ([[0.0], [math.inf]], [(-1, 1)]),
+            (np.empty((3, 0)), [(-1, 1)]),  # zero control dimensions
+            ([[0.0]], [(-1, 1, -1, 1)]),  # flat box
+            ([[0.0]], [-1, 1]),  # bare pair
+            ([[0.0]], [[(-1, 1)]]),  # nested one level too deep
         ]:
             with pytest.raises(DomainError):
                 ControlProblem(lambda x, u: u, lambda x, u: 0.0, controls, box)
@@ -72,7 +80,10 @@ class TestProblemTypes:
             SolverConfig(dt=0.1, horizon=1.0, nx=65, window=0)
         with pytest.raises(DomainError):
             SolverConfig(dt=0.1, horizon=math.inf, nx=65)
+        with pytest.raises(DomainError, match="at least one dt step"):
+            SolverConfig(dt=1.0, horizon=1e-10, nx=9)  # rounds to zero steps
         assert SolverConfig(dt=0.1, horizon=1.0, nx=65).steps == 10
+        assert SolverConfig(dt=1.0, horizon=1.0, nx=9).steps == 1
 
     def test_stability_guard(self):
         with pytest.raises(DomainError):
@@ -294,6 +305,13 @@ class TestStreaming:
         assert np.isnan(sub.residual[[0, -1]]).all() and np.isfinite(sub.residual[1:-1]).all()
         assert np.array_equal(sub_pol.times, fld.times[idx[:-1]])
         assert np.array_equal(sub_pol.controls, pol.controls[idx[:-1]])
+        # without step nt - 1 kept, the terminal step brings its decision
+        idx = [0, cfg.window, nt]
+        sub, sub_pol = solve_fractional(prob, spec, cfg, slices=idx)
+        assert np.array_equal(sub.values, fld.values[idx])
+        assert np.array_equal(sub.residual, fld.residual[idx], equal_nan=True)
+        assert np.array_equal(sub_pol.times, fld.times[[0, cfg.window, nt - 1]])
+        assert np.array_equal(sub_pol.controls, pol.controls[[0, cfg.window, nt - 1]])
 
     @pytest.mark.parametrize("slices", [[], [3, 2], [2, 2], [-1, 3], [25, 26]])
     def test_bad_slices(self, slices):
