@@ -232,10 +232,11 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
     worst = 0.0
-    kt = float(kernel(spec, args.t))
-    for s in args.s:
-        ks = float(kernel(spec, s))
-        kts = float(kernel(spec, args.t + s))
+    # one kernel call over t, every s and every t + s; each value equals its scalar call
+    n = len(args.s)
+    kern = kernel(spec, np.array([args.t, *args.s, *(args.t + s for s in args.s)])).tolist()
+    kt = kern[0]
+    for s, ks, kts in zip(args.s, kern[1 : n + 1], kern[n + 1 :]):
         delta = delta_ml(spec, args.t, s, quad)
         resid = kt * ks - delta - kts
         worst = max(worst, abs(resid))
@@ -257,21 +258,36 @@ def _slice_indices(count: int, stride: int | None) -> list[int]:
     return idx
 
 
-def _write_field_csv(path: str, header: list[str], axes, slices) -> None:
-    """Write ``header``, then one row "t,x...,v..." per grid node of each (t, values) pair in ``slices``.
+def _write_field_csv(path: str, header: list[str], axes, slices, grid=None) -> None:
+    """Write ``header``, then one row "t,x...,cells" per grid node of each (t, cells) pair in ``slices``.
 
-    ``values`` holds the slice's cells, nodes in the grid's C order, as a
-    (nodes, k) array or one that ravels to it.  Cells are ``%.12g``; a slice
-    is formatted and written at once.
+    Nodes run in the grid's C order, and every number prints as ``%.12g``.
+    Without ``grid``, ``cells`` holds the slice's values as a (nodes, k)
+    array or one that ravels to it, and a whole slice is formatted with one
+    ``%`` operation.  With ``grid``, ``cells`` holds each node's row index
+    into the (count, k) array ``grid``: each grid row is formatted once, as a
+    label, and a slice's rows are the node prefixes and their labels joined.
+    Each slice is written at once.
     """
     coords = [[_fmt_csv(c) + "," for c in ax] for ax in axes]
+    nodes = ["".join(node) for node in itertools.product(*coords)]
     cells = ",".join(["%.12g"] * (len(header) - 1 - len(axes)))
-    rows = ["".join(node) + cells for node in itertools.product(*coords)]
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
-        for t, values in slices:
-            prefix = _fmt_csv(t) + ","
-            fh.write((prefix + ("\n" + prefix).join(rows) + "\n") % tuple(values.ravel().tolist()))
+        if grid is None:
+            rows = [node + cells for node in nodes]
+            for t, values in slices:
+                prefix = _fmt_csv(t) + ","
+                fh.write((prefix + ("\n" + prefix).join(rows) + "\n") % tuple(values.ravel().tolist()))
+            return
+        labels = np.array([cells % tuple(row) + "\n" for row in grid.tolist()], dtype=object)
+        # (time prefix, node prefix, label) per row, joined in C
+        parts = np.empty(3 * len(nodes), dtype=object)
+        parts[1::3] = nodes
+        for t, index in slices:
+            parts[0::3] = _fmt_csv(t) + ","
+            parts[2::3] = labels[index.ravel()]
+            fh.write("".join(parts.tolist()))
 
 
 def _run_setup(args):
@@ -315,12 +331,12 @@ def _cmd_solve(args) -> int:
     axes = fld.axes
     xcols = ["x"] if len(axes) == 1 else ["x1", "x2"]
     ucols = ["u"] if pol.control_grid.shape[1] == 1 else [f"u{k+1}" for k in range(pol.control_grid.shape[1])]
-    for name, cols, slices in (
-        ("value.csv", ["V"], zip(fld.times, fld.values)),
-        ("policy.csv", ucols, ((t, pol.control_grid[c.ravel()]) for t, c in zip(pol.times, pol.controls))),
-        ("residual.csv", ["residual"], ((t, r) for t, r in zip(fld.times, fld.residual) if np.all(np.isfinite(r)))),
+    for name, cols, slices, grid in (
+        ("value.csv", ["V"], zip(fld.times, fld.values), None),
+        ("policy.csv", ucols, zip(pol.times, pol.controls), pol.control_grid),
+        ("residual.csv", ["residual"], ((t, r) for t, r in zip(fld.times, fld.residual) if np.all(np.isfinite(r))), None),
     ):
-        _write_field_csv(os.path.join(outdir, name), ["t"] + xcols + cols, axes, slices)
+        _write_field_csv(os.path.join(outdir, name), ["t"] + xcols + cols, axes, slices, grid)
     print(f"V(x0,0) = {_fmt_line(fld.at(np.asarray(x0), 0))}")
     return EXIT_OK
 

@@ -20,7 +20,8 @@ composite Gauss-Legendre panels.
 Distances to the singular endpoints are carried explicitly (never rebuilt by
 subtracting nearly equal floats), which keeps the kernels finite all the way
 into the corner tau -> t, sigma -> s.  Each integral evaluates its special
-function once, over the nodes of both halves.
+function once, over the nodes of both halves; the outer one, which depends
+only on t, once per (spec, t, panels).
 
 ``delta_ml`` is the public entry; F is evaluated inside it, at every outer
 node at once.
@@ -116,13 +117,33 @@ def _inner_apply(blocks, s: float, alpha: float, w: np.ndarray) -> np.ndarray:
     return k_lo @ g_lo + k_hi @ g_hi
 
 
+@lru_cache(maxsize=64)
+def _outer_nodes(spec: DiscountSpec, t: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Outer tau-quadrature of Delta(t, .), which depends on t alone.
+
+    Returns (weights, w): the weights with tau^(a-1) E_{a,a}(lam tau^a)
+    folded in, and the distances w = t - tau at which F is evaluated, kept
+    exact near the tau = t endpoint by construction.  Both are read-only.
+    """
+    a = spec.alpha
+    tau_lo, w_lo = _graded_nodes(_SPLIT * t, panels, _grade_exponent(a))
+    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * t, panels, _grade_exponent(2.0 - a))
+    tau = np.concatenate([tau_lo, t - x_hi])
+    weights = np.concatenate([w_lo, w_hi]) * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
+    w = np.concatenate([t - tau_lo, x_hi])
+    for arr in (weights, w):
+        arr.flags.writeable = False
+    return weights, w
+
+
 def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None = None) -> float:
     """Semigroup defect Delta(t, s) of the discount kernel.
 
     Satisfies kernel(t) * kernel(s) - Delta(t, s) = kernel composed over
     t + s.  Evaluates the double integral described in the module docstring;
     returns 0 exactly for s = 0, lam = 0, or alpha = 1 (empty interval,
-    constant kernel, and exact semigroup respectively).
+    constant kernel, and exact semigroup respectively).  The outer nodes and
+    weights are computed once per (spec, t, panels) and reused for every s.
     """
     q = q or _DEFAULT_QUAD
     t = float(t)
@@ -133,13 +154,6 @@ def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None 
         raise DomainError(f"s must be non-negative and finite, got {s!r}")
     if s == 0.0 or spec.lam == 0.0 or spec.alpha == 1.0:
         return 0.0
-    a = spec.alpha
-    blocks = _inner_blocks(spec, s, q)
-    tau_lo, w_lo = _graded_nodes(_SPLIT * t, q.panels, _grade_exponent(a))
-    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * t, q.panels, _grade_exponent(2.0 - a))
-    tau = np.concatenate([tau_lo, t - x_hi])
-    outer_w = np.concatenate([w_lo, w_hi]) * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
-    # w = t - tau, kept exact near the tau = t endpoint by construction
-    f_vals = _inner_apply(blocks, s, a, np.concatenate([t - tau_lo, x_hi]))
+    outer_w, w = _outer_nodes(spec, t, q.panels)
+    f_vals = _inner_apply(_inner_blocks(spec, s, q), s, spec.alpha, w)
     return float(np.dot(outer_w, f_vals))
-

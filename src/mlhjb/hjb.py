@@ -26,9 +26,10 @@ multiply-add and an argmin, written into buffers allocated once per solve;
 the residual pass likewise evaluates L and f once and reuses one
 Hamiltonian buffer.
 
-The march keeps the last window + 2 slices in a ring, each once, and copies
+The march keeps the last window + 1 slices in a ring, each once, and copies
 out only the time slices the caller asks for and their decisions; the
-residual of a kept slice is computed as soon as its window is complete.
+residual of a kept slice is computed from the ring in place as soon as its
+window is complete.
 Memory then grows with the grid and the number of kept slices, not with
 the horizon.
 
@@ -297,19 +298,22 @@ def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, 
     """Function writing the PDE residual -lam A(a) D^(1-a) V - V_t - min H of one slice.
 
     ``L`` and ``F`` are the running cost and velocity from _batched_LF.
-    ``row(hist, out)`` takes the window + 2 slices from t - window dt to
-    t + dt, oldest first.  The order-(1-a) derivative is the windowed L1
-    form over the trailing cfg.window intervals up to t.
+    ``row(ring, start, after, out)`` takes the window + 1 slices from
+    t - window dt to t in ``ring``, read cyclically from the oldest at row
+    ``start``, and the slice at t + dt in ``after``.  The order-(1-a)
+    derivative is the windowed L1 form over the trailing cfg.window
+    intervals up to t.
     """
     amp = amplitude(spec.alpha)
     order = FracOrder(1.0 - spec.alpha)
     h = np.empty(L.shape)
     tmp = np.empty_like(h)
 
-    def row(hist: np.ndarray, out: np.ndarray) -> None:
-        frac = rl_window_deriv(hist[:-1], cfg.dt, order)
-        v_t = (hist[-1] - hist[-2]) / cfg.dt
-        grads = np.gradient(hist[-2], *axes) if len(axes) > 1 else [np.gradient(hist[-2], axes[0])]
+    def row(ring: np.ndarray, start: int, after: np.ndarray, out: np.ndarray) -> None:
+        frac = rl_window_deriv(ring, cfg.dt, order, start)
+        now = ring[start - 1]
+        v_t = (after - now) / cfg.dt
+        grads = np.gradient(now, *axes) if len(axes) > 1 else [np.gradient(now, axes[0])]
         # h = L + p . f over the grid controls, summed left to right
         np.copyto(h, L)
         for d in range(prob.dim_x):
@@ -327,10 +331,13 @@ def _march(
 
     The Policy row of kept step k is the decision at step min(k, nt - 1):
     the terminal step has none of its own and takes the last one.  The last
-    R = window + 2 slices (2 when no residual row has a full window) live in
-    a ring, slice i at i mod R.  With ``residual`` the residual of each kept
-    step window <= r < nt is computed as soon as slice r - window exists;
-    other rows are NaN.
+    R = window + 1 slices (2 when no residual row has a full window) live in
+    a ring, slice i at i mod R, and each step writes its slice straight into
+    the ring: the chosen candidates, read by flat index (row offset plus
+    argmin).  With ``residual`` the residual of each kept step
+    window <= r < nt is computed as soon as slice r - window exists, from
+    the ring in place and slice r + 1, saved just before slice r - window
+    replaces it; other rows are NaN.
     """
     _stability_guard(spec, cfg.dt)
     nt = cfg.steps
@@ -346,7 +353,7 @@ def _march(
         disc = math.exp(spec.lam * cfg.dt)
     else:
         disc = float(kernel(spec, cfg.dt))
-    ring_len = cfg.window + 2 if residual and cfg.window < nt else 2
+    ring_len = cfg.window + 1 if residual and cfg.window < nt else 2
     ring = np.empty((ring_len,) + shape)
     values = np.empty((len(kept),) + shape)
     policy = np.zeros((len(decided),) + shape, dtype=np.int32)
@@ -354,31 +361,39 @@ def _march(
     # one (grid, controls) batch serves the step and the residual
     L, F = _batched_LF(prob, states)
     row = _residual_rows(prob, spec, cfg, axes, L, F) if residual else None
+    after = np.empty(shape) if residual else None
     l_dt = L * cfg.dt
     stencil = _stencil(axes, states[..., None, :] + F * cfg.dt, prob.boundary)
-    slice_i = np.zeros(shape)
     cand = np.empty(shape + (len(prob.controls),))
     tmp = np.empty_like(cand)
+    # flat index of each node's first candidate, and of its chosen one
+    offsets = np.arange(0, cand.size, cand.shape[-1]).reshape(shape)
+    pick = np.empty(shape, dtype=np.intp)
     for i in range(nt, -1, -1):
-        if i < nt:
+        k = i % ring_len
+        r = i + cfg.window
+        due = row is not None and r < nt and r in where
+        if due:
+            np.copyto(after, ring[k])  # slice r + 1, which slice i replaces
+        slice_i = ring[k]
+        if i == nt:
+            slice_i.fill(0.0)
+        else:
             # cand = L dt + disc * V(feet), rounded as that expression would be
             _apply_stencil(stencil, ring[(i + 1) % ring_len], cand, tmp)
             np.multiply(cand, disc, out=cand)
             np.add(l_dt, cand, out=cand)
             best = np.argmin(cand, axis=-1)
-            slice_i = np.take_along_axis(cand, best[..., None], axis=-1)[..., 0]
+            np.take(cand, np.add(offsets, best, out=pick), out=slice_i)
             if not np.abs(slice_i).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
                 raise DivergenceError(f"value field diverged at t = {times[i]:g}")
             if i in decision:
                 policy[decision[i]] = best
-        k = i % ring_len
-        ring[k] = slice_i
         if i in where:
             values[where[i]] = slice_i
-        r = i + cfg.window
-        if row and r < nt and r in where:
-            # slices i .. i + window + 1, oldest first
-            row(np.roll(ring, -k, axis=0), res[where[r]])
+        if due:
+            # slices i .. i + window from row k of the ring, and slice i + window + 1
+            row(ring, k, after, res[where[r]])
     return (
         ValueField(times=times[kept], axes=axes, values=values, residual=res),
         Policy(controls=policy, control_grid=prob.controls, times=times[decided], axes=axes),

@@ -3,6 +3,7 @@
 import ast
 import csv
 import hashlib
+import itertools
 import math
 import os
 import subprocess
@@ -333,6 +334,21 @@ class TestSolve:
     def test_golden_bytes(self, argv, digests, capsys, tmp_path):
         assert run(["solve", *argv, "--out", str(tmp_path)], capsys)[0] == 0
         assert _digests(tmp_path) == digests
+
+    def test_policy_rows_match_per_cell_format(self, tmp_path):
+        # a two-column control grid whose labels print in exponent form, as -0 and with 12 digits
+        grid = np.array([[-0.0, 1e-7], [1 / 3, -2.5e15], [123456789.012345, 0.5]])
+        axes = (np.linspace(-1.0, 1.0, 3), np.array([0.0, 1e-5]))
+        times = [0.0, 0.1]
+        index = [np.array([[0, 1], [2, 0], [1, 1]], dtype=np.int32), np.array([[2, 2], [0, 1], [1, 0]], dtype=np.int32)]
+        path = tmp_path / "policy.csv"
+        cli._write_field_csv(str(path), ["t", "x1", "x2", "u1", "u2"], axes, zip(times, index), grid)
+        want = ["t,x1,x2,u1,u2"]
+        for t, idx in zip(times, index):
+            for (x1, x2), j in zip(itertools.product(*axes), idx.ravel()):
+                want.append(",".join("%.12g" % v for v in (t, x1, x2, *grid[j])))
+        assert path.read_text() == "\n".join(want) + "\n"
+        assert "-0,1e-07" in want[1] and "0.333333333333,-2.5e+15" in want[2]
 
     def test_existing_files_are_replaced(self, capsys, tmp_path):
         # a longer value.csv must leave no stale tail, and a symlinked

@@ -88,13 +88,17 @@ class TestDeltaMl:
             delta_ml(SPEC_HALF, 1.0, -0.25)
 
     def test_one_special_function_call_per_integral(self, monkeypatch):
-        # the outer integral's ml_two and the inner one's kernel_deriv each run once, over both halves
+        # the outer integral's ml_two and the inner one's kernel_deriv each run once, over both halves;
+        # the outer one depends on t alone, so a second s at the same t reuses it
+        defect._outer_nodes.cache_clear()
         calls = []
         for name in ("ml_two", "kernel_deriv"):
             fn = getattr(defect, name)
             monkeypatch.setattr(defect, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
         assert delta_ml(SPEC_HALF, 1.0, 0.5) == pytest.approx(DELTA_1_05, abs=2e-9)
         assert sorted(calls) == ["kernel_deriv", "ml_two"]
+        delta_ml(SPEC_HALF, 1.0, 0.25)
+        assert sorted(calls) == ["kernel_deriv", "kernel_deriv", "ml_two"]
 
 
 class TestSemigroupResidual:

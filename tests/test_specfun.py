@@ -191,6 +191,35 @@ class TestMlOne:
             ml_one(0.5, 40.0)
 
 
+class TestTermRatios:
+    @staticmethod
+    def eager(alpha, beta, n):
+        return math.exp(math.lgamma(alpha * n + beta) - math.lgamma(alpha * (n + 1) + beta))
+
+    def test_table_grows_only_as_far_as_a_sum_reaches(self):
+        specfun._term_ratios.cache_clear()
+        kernel(DiscountSpec(0.8, -0.5), 0.01)
+        ratios = specfun._term_ratios(0.8, 1.0)
+        assert 0 < len(ratios) <= 50
+        assert ratios == [self.eager(0.8, 1.0, n) for n in range(len(ratios))]
+        # a longer sum extends the same table, with the same entries
+        ml_one(0.8, 20.0)
+        assert len(specfun._term_ratios(0.8, 1.0)) > 50
+        assert ratios == [self.eager(0.8, 1.0, n) for n in range(len(ratios))]
+
+    def test_sums_that_run_out_of_terms(self):
+        # both fill the table: E_{0.05,1}(1.3) then takes the pole residue e^(z^20) / 0.05,
+        # and E_{0.05,1}(1.4), whose residue overflows, raises
+        specfun._term_ratios.cache_clear()
+        assert ml_two(0.05, 1.0, 1.3) == math.exp(1.3**20) / 0.05
+        ratios = specfun._term_ratios(0.05, 1.0)
+        assert ratios == [self.eager(0.05, 1.0, n) for n in range(specfun._MAX_TERMS)]
+        specfun._term_ratios.cache_clear()
+        with pytest.raises(ConvergenceError):
+            ml_two(0.05, 1.0, 1.4)
+        assert len(specfun._term_ratios(0.05, 1.0)) == specfun._MAX_TERMS
+
+
 class TestMlTwo:
     def test_exp_reduction(self):
         assert float(ml_two(1.0, 1.0, 1.0)) == pytest.approx(math.e, rel=1e-13)
