@@ -88,6 +88,15 @@ def _graded_nodes(length: float, panels: int, r: int, order: int = _GL_ORDER_OUT
     return x, weights
 
 
+def _singular_end_nodes(length: float, panels: int, alpha: float, order: int):
+    """_graded_nodes at an x^(alpha-1) end, where a node that underflows to 0 is a pole."""
+    x, weights = _graded_nodes(length, panels, _grade_exponent(alpha), order)
+    # r = ceil(5 / alpha) nears 125 as alpha falls to 0.04, where the first node's y^r underflows
+    if not x[0] > 0.0:
+        raise DomainError(f"graded quadrature nodes on [0, {length:g}] underflow to 0 at alpha = {alpha:g}")
+    return x, weights
+
+
 def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
     """Shared sigma-quadrature of F.
 
@@ -98,10 +107,8 @@ def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
         F(w) = sum g_lo_j (w + s - sig_lo_j)^(-a) + sum g_hi_j (w + x_hi_j)^(-a).
     """
     a = spec.alpha
-    r_lo = _grade_exponent(a)
-    r_hi = _grade_exponent(1.0 - a)
-    sig_lo, w_lo = _graded_nodes(_SPLIT * s, q.panels, r_lo, _GL_ORDER_INNER)
-    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * s, q.panels, r_hi, _GL_ORDER_INNER)
+    sig_lo, w_lo = _singular_end_nodes(_SPLIT * s, q.panels, a, _GL_ORDER_INNER)
+    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * s, q.panels, _grade_exponent(1.0 - a), _GL_ORDER_INNER)
     inv_gamma = 1.0 / math.gamma(1.0 - a)
     sig = np.concatenate([sig_lo, s - x_hi])
     g = (np.concatenate([w_lo, w_hi]) * kernel_deriv(spec, sig)) * inv_gamma
@@ -126,7 +133,7 @@ def _outer_nodes(spec: DiscountSpec, t: float, panels: int) -> tuple[np.ndarray,
     exact near the tau = t endpoint by construction.  Both are read-only.
     """
     a = spec.alpha
-    tau_lo, w_lo = _graded_nodes(_SPLIT * t, panels, _grade_exponent(a))
+    tau_lo, w_lo = _singular_end_nodes(_SPLIT * t, panels, a, _GL_ORDER_OUTER)
     x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * t, panels, _grade_exponent(2.0 - a))
     tau = np.concatenate([tau_lo, t - x_hi])
     weights = np.concatenate([w_lo, w_hi]) * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))

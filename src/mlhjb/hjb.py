@@ -494,7 +494,7 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
         x = [a + dt * (b + 2.0 * c + 2.0 * d + e) / 6.0 for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
         t1 = t_all[i + 1]
         for v, a, b in zip(x, lo, hi):
-            if v < a or v > b:  # NaN passes
+            if not a <= v <= b:  # NaN escapes too
                 raise StateEscapeError(f"trajectory escaped the inflated state box at t = {t1:g}")
         xq, u = control(x, t1)
         states.append(x)

@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +81,6 @@ _OVERFLOW_GUARD = 1e290
 _MAX_TERMS = 2000
 _ABS_TOL = 1e-30
 _REL_TOL = 1e-15
-# Serialises the growth of the shared _term_ratios lists.
-_RATIOS_LOCK = threading.Lock()
 
 # The OPC contour s(u) = mu (1 + iu)^2, |u| <= _U_MAX, with Garrappa's
 # parameters for a 1e-15 target when the only singularity is the branch
@@ -120,23 +117,6 @@ class DiscountSpec:
             raise DomainError("lam must be a finite real number")
 
 
-@functools.lru_cache(maxsize=16)
-def _term_ratios(alpha: float, beta: float) -> list[float]:
-    """Gamma(a n + b) / Gamma(a (n + 1) + b) for n = 0, 1, ..., as far as a sum has reached.
-
-    The list starts empty and _series_float appends each entry the first
-    time a sum needs it, so a table holds only the terms its sums used.
-    """
-    return []
-
-
-def _extend_ratios(ratios: list, alpha: float, beta: float, count: int) -> None:
-    """Append entries to the _term_ratios list ``ratios`` until it holds ``count``."""
-    with _RATIOS_LOCK:
-        for n in range(len(ratios), count):
-            ratios.append(math.exp(math.lgamma(alpha * n + beta) - math.lgamma(alpha * (n + 1) + beta)))
-
-
 def _series_float(alpha: float, beta: float, z: np.ndarray):
     """The power series in float64, each point stopped by its own terms.
 
@@ -145,17 +125,16 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
     Returns ``(total, max_term, ok)``: the per-element peak of ``|term|``, and
     False at each point whose terms overflowed (they are zeroed from there on,
     so the rest carry on) or missed the truncation rule within _MAX_TERMS.
+    Term n + 1 is term n times z Gamma(a n + b) / Gamma(a (n + 1) + b), that
+    ratio computed where the term uses it.
     """
-    ratios = _term_ratios(alpha, beta)
     total = np.full_like(z, 1.0 / math.gamma(beta))
     term = total.copy()
     peak = np.abs(term)
     ok = np.ones(z.shape, dtype=bool)
     small = done = np.zeros(z.shape, dtype=bool)
     for n in range(_MAX_TERMS):
-        if n == len(ratios):
-            _extend_ratios(ratios, alpha, beta, n + 1)
-        term = term * z * ratios[n]
+        term = term * z * math.exp(math.lgamma(alpha * n + beta) - math.lgamma(alpha * (n + 1) + beta))
         mags = np.abs(term)
         if not mags.max(initial=0.0) <= _OVERFLOW_GUARD:  # also inf and NaN
             ok = ok & (mags <= _OVERFLOW_GUARD)

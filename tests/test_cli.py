@@ -125,6 +125,11 @@ class TestVerify:
         assert out == ""
         assert "--tol" in err
 
+    def test_alpha_too_small_for_quadrature_exits_2(self, capsys):
+        code, out, err = run(["verify", "--alpha", "0.02"], capsys)
+        assert (code, out) == (2, "")
+        assert "at alpha = 0.02" in err
+
     def test_invalid_tolerance_in_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("tol = nan\n")
@@ -699,6 +704,14 @@ class TestCost:
         code, _, err = run(["cost", "--policy", str(path), "--dt", "0.01", "--horizon", "5"], capsys)
         assert code == 3
         assert "escaped" in err
+
+    def test_nan_policy_exits_3(self, capsys, tmp_path):
+        # a NaN control makes a NaN state, which escapes as an out-of-box one does
+        path = tmp_path / "policy.csv"
+        path.write_text("t,x,u\n0,-2,nan\n0,2,nan\n")
+        code, out, err = run(["cost", "--policy", str(path), "--dt", "0.01", "--horizon", "5"], capsys)
+        assert (code, out) == (3, "")
+        assert "escaped the inflated state box at t = 0.01" in err
 
     def test_malformed_policy_exits_2(self, capsys, tmp_path):
         path = tmp_path / "policy.csv"

@@ -87,6 +87,13 @@ class TestDeltaMl:
         with pytest.raises(DomainError):
             delta_ml(SPEC_HALF, 1.0, -0.25)
 
+    @pytest.mark.parametrize("alpha, t, s", [(0.01, 1.0, 0.5), (0.02, 1.0, 0.5), (0.04, 1.0, 0.25), (0.5, 1.0, 1e-300)])
+    def test_underflowing_nodes_raise(self, alpha, t, s):
+        # past r = ceil(5 / alpha) ~ 125, or on a tiny interval, the first graded node at the
+        # tau^(a-1) or sigma^(a-1) pole underflows to 0: a DomainError that names alpha, no warning
+        with pytest.raises(DomainError, match=f"underflow to 0 at alpha = {alpha:g}"):
+            delta_ml(DiscountSpec(alpha, -1.0), t, s)
+
     def test_one_special_function_call_per_integral(self, monkeypatch):
         # the outer integral's ml_two and the inner one's kernel_deriv each run once, over both halves;
         # the outer one depends on t alone, so a second s at the same t reuses it

@@ -395,6 +395,11 @@ class TestEvaluateCost:
         with pytest.raises(StateEscapeError):
             evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([2.5]), np.array([1.0]), cfg)
 
+    def test_nan_state_escapes(self):
+        cfg = SolverConfig(dt=0.01, horizon=5.0, nx=65)
+        with pytest.raises(StateEscapeError, match="at t = 0.01$"):
+            evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([np.nan]), np.array([1.0]), cfg)
+
     def test_x0_outside_box(self):
         with pytest.raises(DomainError):
             evaluate_cost(LQ, DiscountSpec(1.0, -0.5), lambda x, t: np.array([0.0]), np.array([3.0]), COARSE)
