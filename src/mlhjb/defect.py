@@ -97,12 +97,12 @@ def _singular_end_nodes(length: float, panels: int, alpha: float, order: int):
     return x, weights
 
 
-def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
-    """Shared sigma-quadrature of F.
+def _inner(spec: DiscountSpec, s: float, q: QuadratureConfig, w: np.ndarray) -> np.ndarray:
+    """F at each distance in the 1-D array ``w``, by one shared sigma-quadrature.
 
-    Returns (sig_lo, g_lo, x_hi, g_hi): nodes near sigma = 0 as sigma itself,
-    nodes near sigma = s as the distance x = s - sigma, and the corresponding
-    weights with the kernel-derivative factor and 1/Gamma(1-a) folded in, so
+    Nodes near sigma = 0 are kept as sigma itself (sig_lo), nodes near
+    sigma = s as the distance x = s - sigma (x_hi), and their weights fold in
+    the kernel-derivative factor and 1/Gamma(1-a), so
 
         F(w) = sum g_lo_j (w + s - sig_lo_j)^(-a) + sum g_hi_j (w + x_hi_j)^(-a).
     """
@@ -113,15 +113,9 @@ def _inner_blocks(spec: DiscountSpec, s: float, q: QuadratureConfig):
     sig = np.concatenate([sig_lo, s - x_hi])
     g = (np.concatenate([w_lo, w_hi]) * kernel_deriv(spec, sig)) * inv_gamma
     n = len(sig_lo)
-    return sig_lo, g[:n], x_hi, g[n:]
-
-
-def _inner_apply(blocks, s: float, alpha: float, w: np.ndarray) -> np.ndarray:
-    sig_lo, g_lo, x_hi, g_hi = blocks
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    k_lo = (w[:, None] + (s - sig_lo)[None, :]) ** (-alpha)
-    k_hi = (w[:, None] + x_hi[None, :]) ** (-alpha)
-    return k_lo @ g_lo + k_hi @ g_hi
+    k_lo = (w[:, None] + (s - sig_lo)[None, :]) ** (-a)
+    k_hi = (w[:, None] + x_hi[None, :]) ** (-a)
+    return k_lo @ g[:n] + k_hi @ g[n:]
 
 
 @lru_cache(maxsize=64)
@@ -162,5 +156,4 @@ def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None 
     if s == 0.0 or spec.lam == 0.0 or spec.alpha == 1.0:
         return 0.0
     outer_w, w = _outer_nodes(spec, t, q.panels)
-    f_vals = _inner_apply(_inner_blocks(spec, s, q), s, spec.alpha, w)
-    return float(np.dot(outer_w, f_vals))
+    return float(np.dot(outer_w, _inner(spec, s, q, w)))

@@ -37,11 +37,9 @@ class FracOrder:
 
 
 def amplitude(alpha: float) -> float:
-    """A(a) = (1-a)^(a-1) / a^a on (0, 1], with the continuous limit 1 at a = 1."""
+    """A(a) = (1-a)^(a-1) / a^a on (0, 1]; at a = 1 it reads 0^0 / 1 = 1, the continuous limit."""
     if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha!r}")
-    if alpha == 1.0:
-        return 1.0
     return (1.0 - alpha) ** (alpha - 1.0) / alpha**alpha
 
 
@@ -57,13 +55,12 @@ def _diffs(values: np.ndarray, start: int) -> np.ndarray:
     A new C-ordered (n - 1, ...) array, as np.diff of the samples in order
     would give, built without a copy of the samples.
     """
-    if start == 0:
-        return np.diff(values, axis=0)
-    head = values.shape[0] - 1 - start  # differences that do not wrap past the last row
+    head = values.shape[0] - 1 - start  # differences that do not wrap past the last row: all at start 0
     out = np.empty((values.shape[0] - 1,) + values.shape[1:])
     np.subtract(values[start + 1 :], values[start:-1], out=out[:head])
-    np.subtract(values[0], values[-1], out=out[head])
-    np.subtract(values[1:start], values[: start - 1], out=out[head + 1 :])
+    if start:
+        np.subtract(values[:1], values[-1:], out=out[head : head + 1])
+        np.subtract(values[1:start], values[: start - 1], out=out[head + 1 :])
     return out
 
 

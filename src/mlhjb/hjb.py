@@ -165,10 +165,17 @@ class ValueField:
     residual: np.ndarray | None = None
 
     def at(self, x, time_index: int = 0) -> float:
-        """Multilinear interpolation of the slice at ``time_index``."""
-        foot = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-        stencil = _stencil(self.axes, foot, "clamp_gradient")
+        """Multilinear interpolation of the slice at ``time_index``, at ``x`` of one finite coordinate per axis."""
+        stencil = _stencil(self.axes, _coords(x, len(self.axes))[None, :], "clamp_gradient")
         return float(_apply_stencil(stencil, self.values[time_index], np.empty(1), np.empty(1))[0])
+
+
+def _coords(x, dim: int) -> np.ndarray:
+    """``x`` as a (dim,) float array of finite coordinates, else DomainError."""
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if arr.shape != (dim,) or not np.all(np.isfinite(arr)):
+        raise DomainError(f"x must have one finite coordinate per axis ({dim}), got {x!r}")
+    return arr
 
 
 def _nearest(nodes: list, v: float) -> int:
@@ -201,10 +208,14 @@ class Policy:
         object.__setattr__(self, "_nodes", [[float(v) for v in ax] for ax in (self.times, *self.axes)])
 
     def control(self, x, t: float) -> np.ndarray:
-        """Control of the node nearest to (t, x) per axis, lowest index on ties."""
-        t_nodes, *x_nodes = self._nodes
-        idx = (_nearest(t_nodes, float(t)), *(_nearest(nodes, float(x[d])) for d, nodes in enumerate(x_nodes)))
-        return self.control_grid[self.controls[idx]]
+        """Control of the node nearest to finite (t, x) per axis, lowest index on ties."""
+        if not math.isfinite(t):
+            raise DomainError(f"t must be finite, got {t!r}")
+        return self._lookup([float(t), *_coords(x, len(self.axes)).tolist()])
+
+    def _lookup(self, point: list) -> np.ndarray:
+        """``control`` without its checks, at the floats [t, *x]."""
+        return self.control_grid[self.controls[tuple(map(_nearest, self._nodes, point))]]
 
 
 def _axes_for(prob: ControlProblem, nx: int) -> tuple:
@@ -349,10 +360,7 @@ def _march(
     states = _grid_states(axes)
     shape = states.shape[:-1]
     times = np.arange(nt + 1) * cfg.dt
-    if spec.alpha == 1.0:
-        disc = math.exp(spec.lam * cfg.dt)
-    else:
-        disc = float(kernel(spec, cfg.dt))
+    disc = float(kernel(spec, cfg.dt))
     ring_len = cfg.window + 1 if residual and cfg.window < nt else 2
     ring = np.empty((ring_len,) + shape)
     values = np.empty((len(kept),) + shape)
@@ -460,14 +468,12 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     if not np.all((box[:, 0] <= x) & (x <= box[:, 1])):
         raise DomainError(f"x0 {x.tolist()} lies outside the state box")
     if isinstance(law, Policy):
-        law = law.control
+        # unchecked: the rollout checks its own states, and a NaN stage state escapes at the step's end
+        law = lambda xq, t, lookup=law._lookup: lookup([t, *xq.tolist()])
     nt = cfg.steps
     dt = cfg.dt
     times = np.arange(nt + 1) * dt
-    if spec.alpha == 1.0:
-        weights = np.exp(spec.lam * times)
-    else:
-        weights = np.asarray(kernel(spec, times), dtype=float)
+    weights = kernel(spec, times)
     lo, hi = _escape_bounds(prob)
     dynamics = prob.dynamics
 

@@ -7,15 +7,15 @@ The one- and two-parameter Mittag-Leffler functions
 
 are evaluated in float64, each point routed by (a, b, z) before any sum:
 
-- z <= 0 with 0 < a <= 1, up to a cut: Garrappa's optimal parabolic
-  contour (OPC) for the inverse Laplace transform of s^(a-b) / (s^a - z)
-  (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015), one fixed 27-node half
-  contour for every z, or exp(z) at a = b = 1.  At z <= -1, E_{a,b}(z) =
+- z <= 0 with 0 < a <= 1, up to a cut: exp(z) at a = b = 1, else Garrappa's
+  optimal parabolic contour (OPC) for the inverse Laplace transform of
+  s^(a-b) / (s^a - z) (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015), one
+  fixed 27-node half contour for every z.  At z <= -1, E_{a,b}(z) =
   (E_{a,b-a}(z) - 1/Gamma(b-a)) / z lowers b until b <= 1 and makes the
-  leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.  The cut is
-  -c^a, c = _CUT, in the kernel region 0 < b <= 1 + a with a >= 0.1 (every
-  kernel, kernel-derivative and defect evaluation), 0 there for a < 0.1,
-  and -b^a for b > 1 + a; the power series takes the z <= 0 above it.
+  leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.  The cut is 0
+  at a = b = 1 and for a < 0.1, -c^a, c = _CUT, elsewhere in the kernel
+  region 0 < b <= 1 + a (every kernel, kernel-derivative and defect
+  evaluation), and -b^a for b > 1 + a; the series takes the z <= 0 above it.
 - z > 0 with 0 < a <= 1: the power series, whose terms are all positive.  A
   point whose own sum overflows or runs past 2,000 terms takes the pole
   residue (1/a) z^((1-b)/a) e^(z^(1/a)) where the rest of the expansion is
@@ -42,8 +42,8 @@ The discount kernel built on top of them is
 
     kernel(t) = E_a(lam * t**a),
 
-which reduces to exp(lam * t) at a = 1 and to a heavy-tailed relaxation for
-0 < a < 1.
+which is exp(lam * t) at a = 1 (np.exp's bits for lam <= 0) and a
+heavy-tailed relaxation for 0 < a < 1.
 """
 
 from __future__ import annotations
@@ -235,9 +235,10 @@ def _series(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
             # past -b^a a step of lowering b divides the error by |z| >= b^a,
             # more than 1/Gamma grows; above it the terms shrink from about n = 0
             cut = -(beta**alpha)
-        elif alpha >= _SERIES_MIN_ALPHA:
+        elif alpha >= _SERIES_MIN_ALPHA and (alpha, beta) != (1.0, 1.0):
             cut = -(_CUT**alpha)
         else:
+            # E_1(z) = exp(z) at every z <= 0; below a = 0.1 every z <= 0 takes the contour
             cut = 0.0
         summed = z > cut
         out[~summed] = _ml_nonpositive(alpha, beta, z[~summed])

@@ -29,8 +29,7 @@ class TestQuadratureConfig:
 
 def _inner_f(spec, w, s, q=QuadratureConfig()):
     """Inner convolution F(w) = int_0^s (w + s - sigma)^(-a) / Gamma(1-a) * kernel_deriv(sigma) dsigma."""
-    blocks = defect._inner_blocks(spec, s, q)
-    return float(defect._inner_apply(blocks, s, spec.alpha, np.array([w]))[0])
+    return float(defect._inner(spec, s, q, np.array([w]))[0])
 
 
 class TestInnerF:
@@ -86,6 +85,13 @@ class TestDeltaMl:
     def test_negative_s(self):
         with pytest.raises(DomainError):
             delta_ml(SPEC_HALF, 1.0, -0.25)
+        # and every other t or s off its domain
+        for t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="t must be positive and finite"):
+                delta_ml(SPEC_HALF, t, 0.5)
+        for s in (-1.0, math.nan, math.inf):
+            with pytest.raises(DomainError, match="s must be non-negative and finite"):
+                delta_ml(SPEC_HALF, 1.0, s)
 
     @pytest.mark.parametrize("alpha, t, s", [(0.01, 1.0, 0.5), (0.02, 1.0, 0.5), (0.04, 1.0, 0.25), (0.5, 1.0, 1e-300)])
     def test_underflowing_nodes_raise(self, alpha, t, s):

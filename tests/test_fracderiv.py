@@ -126,13 +126,14 @@ class TestRlWindowDeriv:
 
     @pytest.mark.parametrize("mu", [0.0, 0.3])
     def test_ring_read_in_place_equals_rolled_copy(self, mu):
-        # every oldest-row index of a ring gives the bits of the samples rolled into time order
+        # every oldest-row index of a ring gives the bits of the samples rolled into time order,
+        # for scalar samples as for grid slices
         rng = np.random.default_rng(3)
-        ring = rng.standard_normal((7, 5, 4))
-        for start in range(len(ring)):
-            got = rl_window_deriv(ring, 0.05, FracOrder(mu), start)
-            want = rl_window_deriv(np.roll(ring, -start, axis=0), 0.05, FracOrder(mu))
-            assert np.array_equal(got, want)
+        for ring in (rng.standard_normal((7, 5, 4)), rng.standard_normal(7)):
+            for start in range(len(ring)):
+                got = rl_window_deriv(ring, 0.05, FracOrder(mu), start)
+                want = rl_window_deriv(np.roll(ring, -start, axis=0), 0.05, FracOrder(mu))
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("start", [-1, 3, 1.0])
     def test_start_outside_the_rows(self, start):

@@ -254,7 +254,7 @@ def _unstreamed(prob, spec, cfg):
     axes = tuple(np.linspace(lo, hi, cfg.nx) for lo, hi in prob.box)
     states = hjb._grid_states(axes)
     shape = states.shape[:-1]
-    disc = math.exp(spec.lam * dt) if spec.alpha == 1.0 else float(kernel(spec, dt))
+    disc = float(kernel(spec, dt))
     values = np.zeros((nt + 1,) + shape)
     policy = np.zeros((nt,) + shape, dtype=np.int32)
     L, F = hjb._batched_LF(prob, states)
@@ -454,7 +454,7 @@ def _reference_rollout(prob, spec, law, x0, cfg):
         law = law.control
     nt, dt = cfg.steps, cfg.dt
     times = np.arange(nt + 1) * dt
-    weights = np.exp(spec.lam * times) if spec.alpha == 1.0 else np.asarray(kernel(spec, times), dtype=float)
+    weights = kernel(spec, times)
     box = prob.box
     center, half = 0.5 * (box[:, 0] + box[:, 1]), 0.5 * (box[:, 1] - box[:, 0])
     bounds = np.stack([center - 1.5 * half, center + 1.5 * half], axis=1)
@@ -567,6 +567,45 @@ class TestPolicy:
     def test_grid_shape_enforced(self):
         with pytest.raises(DomainError):
             Policy(controls=np.zeros((2, 4), dtype=int), control_grid=self.GRID, times=np.array([0.0, 0.5]), axes=(np.array([-1.0, 0.0, 1.0]),))
+
+    @pytest.mark.parametrize(
+        "x, t, message",
+        [
+            ([0.5, 99.0], 0.1, "x must have one"),
+            ([], 0.1, "x must have one"),
+            ([math.nan], 0.1, "x must have one"),
+            ([-math.inf], 0.1, "x must have one"),
+            ([0.5], math.nan, "t must be finite"),
+            ([0.5], math.inf, "t must be finite"),
+        ],
+        ids=["extra", "none", "nan", "-inf", "nan-t", "inf-t"],
+    )
+    def test_lookup_off_its_domain_raises(self, x, t, message):
+        # a coordinate too many, too few or not finite has no nearest node
+        with pytest.raises(DomainError, match=message):
+            self._policy().control(np.array(x), t)
+
+
+class TestValueField:
+    # V(x) = |x| on three nodes
+    FIELD = hjb.ValueField(times=np.array([0.0]), axes=(np.array([-1.0, 0.0, 1.0]),), values=np.array([[1.0, 0.0, 1.0]]))
+
+    def test_interpolates_and_clamps(self):
+        assert self.FIELD.at([0.25]) == 0.25
+        assert self.FIELD.at(np.array([-0.5]), 0) == 0.5
+        assert self.FIELD.at(0.75) == 0.75
+        assert self.FIELD.at([99.0]) == 1.0  # outside the box: the clamped boundary value
+
+    @pytest.mark.parametrize("x", [[0.5, 99.0], [], [math.nan], [math.inf], [[0.5]]], ids=["extra", "none", "nan", "inf", "nested"])
+    def test_lookup_off_its_domain_raises(self, x):
+        with pytest.raises(DomainError, match=r"one finite coordinate per axis \(1\)"):
+            self.FIELD.at(x)
+
+    def test_two_dimensional_needs_both_coordinates(self):
+        fld, _ = solve_fractional(catalog.get("osc2d").problem, DiscountSpec(0.8, -0.5), SolverConfig(dt=0.02, horizon=0.1, nx=9))
+        assert math.isfinite(fld.at([0.1, -0.2]))
+        with pytest.raises(DomainError, match=r"one finite coordinate per axis \(2\)"):
+            fld.at([0.1])
 
 
 class TestTwoDimensional:

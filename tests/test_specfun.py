@@ -372,6 +372,15 @@ class TestKernel:
         spec = DiscountSpec(1.0, -0.5)
         assert float(kernel(spec, 2.0)) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
+    @pytest.mark.parametrize("lam", [0.0, -0.5, -1.0, -7.25])
+    def test_order_one_is_exp_bit_for_bit(self, lam):
+        # E_1(z) is np.exp(z) at every z <= 0, across the series' old range (-2.3, 0] too
+        spec = DiscountSpec(1.0, lam)
+        t = np.linspace(0.0, 120.0, 24001)
+        assert np.array_equal(kernel(spec, t), np.exp(lam * t))
+        for ti in (0.0, 0.02, 0.37, 4.58, 120.0):
+            assert kernel(spec, ti) == np.exp(lam * ti)
+
     def test_at_zero(self):
         assert float(kernel(DiscountSpec(0.7, 1.0), 0.0)) == 1.0
 
