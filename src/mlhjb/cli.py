@@ -7,8 +7,8 @@ Subcommands:
   cost    forward-evaluate the discounted cost of a feedback law or policy file
 
 Exit codes: 0 success, 1 verification tolerance unmet, 2 usage or domain
-error or an output file that cannot be written, 3 numerical divergence
-(including state escape).
+error, an output file that cannot be written or an array too large to
+allocate, 3 numerical divergence (including state escape).
 
 Flags override values from an optional key=value config file (--config).
 A config value is checked as its flag would be, and unknown keys are errors.
@@ -456,28 +456,21 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    if args.config is not None:
-        try:
+        if args.config is not None:
             overrides = _load_config(args.config)
             flags = {a.dest: a.option_strings[0] for a in subs[args.command]._actions if a.dest not in ("help", "config")}
             unknown = sorted(set(overrides) - set(flags))
             if unknown:
                 raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        # config values are parsed as flags placed before the user's, which win
-        at = argv.index(args.command) + 1
-        tokens = [f"{flags[key]}={value}" for key, value in overrides.items()]
-        try:
+            # config values are parsed as flags placed before the user's, which win
+            at = argv.index(args.command) + 1
+            tokens = [f"{flags[key]}={value}" for key, value in overrides.items()]
             args = parser.parse_args(argv[:at] + tokens + argv[at:])
-        except SystemExit as exc:
-            return int(exc.code or 0)
-    try:
         return _DISPATCH[args.command](args)
-    except (DomainError, ConfigError, OSError) as exc:
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    # an array too large to allocate (a huge --horizon / --dt or --nx) is a usage error
+    except (DomainError, ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, ConvergenceError, StateEscapeError) as exc:

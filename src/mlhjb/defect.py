@@ -12,16 +12,15 @@ integral,
 
 Both integrals carry integrable endpoint singularities: sigma^(a-1) and
 tau^(a-1) at the lower ends, (w + s - sigma)^(-a) at sigma = s once w -> 0,
-and a (t - tau)^(1-a) derivative blow-up of F at tau = t.  Each singular
-endpoint is flattened by a power-law change of variable x = L y^r on its
-half of the interval; the transformed integrands are then summed with
-composite Gauss-Legendre panels.
-
-Distances to the singular endpoints are carried explicitly (never rebuilt by
-subtracting nearly equal floats), which keeps the kernels finite all the way
-into the corner tau -> t, sigma -> s.  Each integral evaluates its special
-function once, over the nodes of both halves; the outer one, which depends
-only on t, once per (spec, t, panels).
+and a (t - tau)^(1-a) derivative blow-up of F at tau = t.  One node rule,
+``_split_nodes``, serves both: it splits [0, L] at L/2, flattens each end's
+singularity by a power-law change of variable x = h y^r on that end's half,
+and sums composite Gauss-Legendre panels.  It returns each node's distance
+from both ends, the one to its own end exact (never rebuilt by subtracting
+nearly equal floats), which keeps the kernels finite all the way into the
+corner tau -> t, sigma -> s.  Each integral evaluates its special function
+once, over the nodes of both halves; the outer one, which depends only on t,
+once per (spec, t, panels).
 
 ``delta_ml`` is the public entry; F is evaluated inside it, at every outer
 node at once.
@@ -74,47 +73,40 @@ def _unit_panels(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _grade_exponent(strength: float) -> int:
-    # x = L y^r turns x^q behaviour (q = strength - 1) into y^(r*strength - 1);
-    # r is chosen so the transformed exponent reaches _GRADE_TARGET.
-    return max(2, min(_GRADE_CAP, math.ceil(_GRADE_TARGET / strength)))
-
-
-def _graded_nodes(length: float, panels: int, r: int, order: int = _GL_ORDER_OUTER):
-    """Nodes/weights for int_0^length g(x) dx with algebraic behaviour at 0."""
+def _split_nodes(length: float, panels: int, alpha: float, far_strength: float, order: int):
+    """(x, length - x, weights) for int_0^length g(x) dx, g ~ x^(alpha-1) at 0, ~ (length-x)^(far_strength-1) at length."""
     y, w = _unit_panels(panels, order)
-    x = length * y**r
-    weights = w * (length * r) * y ** (r - 1)
-    return x, weights
 
+    def graded(h: float, strength: float):
+        # x = h y^r from the half's own end turns x^(strength-1) into y^(r*strength-1);
+        # r is chosen so that exponent reaches _GRADE_TARGET
+        r = max(2, min(_GRADE_CAP, math.ceil(_GRADE_TARGET / strength)))
+        return h * y**r, w * (h * r) * y ** (r - 1)
 
-def _singular_end_nodes(length: float, panels: int, alpha: float, order: int):
-    """_graded_nodes at an x^(alpha-1) end, where a node that underflows to 0 is a pole."""
-    x, weights = _graded_nodes(length, panels, _grade_exponent(alpha), order)
+    near, w_near = graded(_SPLIT * length, alpha)
     # r = ceil(5 / alpha) nears 125 as alpha falls to 0.04, where the first node's y^r underflows
-    if not x[0] > 0.0:
-        raise DomainError(f"graded quadrature nodes on [0, {length:g}] underflow to 0 at alpha = {alpha:g}")
-    return x, weights
+    if not near[0] > 0.0:
+        raise DomainError(f"graded quadrature nodes on [0, {_SPLIT * length:g}] underflow to 0 at alpha = {alpha:g}")
+    far, w_far = graded((1.0 - _SPLIT) * length, far_strength)
+    return np.concatenate([near, length - far]), np.concatenate([length - near, far]), np.concatenate([w_near, w_far])
 
 
 def _inner(spec: DiscountSpec, s: float, q: QuadratureConfig, w: np.ndarray) -> np.ndarray:
     """F at each distance in the 1-D array ``w``, by one shared sigma-quadrature.
 
-    Nodes near sigma = 0 are kept as sigma itself (sig_lo), nodes near
-    sigma = s as the distance x = s - sigma (x_hi), and their weights fold in
-    the kernel-derivative factor and 1/Gamma(1-a), so
+    With x_j = s - sigma_j (exact on the half near sigma = s) and weights g_j
+    that fold in the kernel-derivative factor and 1/Gamma(1-a),
 
-        F(w) = sum g_lo_j (w + s - sig_lo_j)^(-a) + sum g_hi_j (w + x_hi_j)^(-a).
+        F(w) = sum_j g_j (w + x_j)^(-a),
+
+    summed over each half separately.
     """
     a = spec.alpha
-    sig_lo, w_lo = _singular_end_nodes(_SPLIT * s, q.panels, a, _GL_ORDER_INNER)
-    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * s, q.panels, _grade_exponent(1.0 - a), _GL_ORDER_INNER)
-    inv_gamma = 1.0 / math.gamma(1.0 - a)
-    sig = np.concatenate([sig_lo, s - x_hi])
-    g = (np.concatenate([w_lo, w_hi]) * kernel_deriv(spec, sig)) * inv_gamma
-    n = len(sig_lo)
-    k_lo = (w[:, None] + (s - sig_lo)[None, :]) ** (-a)
-    k_hi = (w[:, None] + x_hi[None, :]) ** (-a)
+    sig, x, weights = _split_nodes(s, q.panels, a, 1.0 - a, _GL_ORDER_INNER)
+    g = (weights * kernel_deriv(spec, sig)) * (1.0 / math.gamma(1.0 - a))
+    n = len(sig) // 2
+    k_lo = (w[:, None] + x[None, :n]) ** (-a)
+    k_hi = (w[:, None] + x[None, n:]) ** (-a)
     return k_lo @ g[:n] + k_hi @ g[n:]
 
 
@@ -127,11 +119,8 @@ def _outer_nodes(spec: DiscountSpec, t: float, panels: int) -> tuple[np.ndarray,
     exact near the tau = t endpoint by construction.  Both are read-only.
     """
     a = spec.alpha
-    tau_lo, w_lo = _singular_end_nodes(_SPLIT * t, panels, a, _GL_ORDER_OUTER)
-    x_hi, w_hi = _graded_nodes((1.0 - _SPLIT) * t, panels, _grade_exponent(2.0 - a))
-    tau = np.concatenate([tau_lo, t - x_hi])
-    weights = np.concatenate([w_lo, w_hi]) * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
-    w = np.concatenate([t - tau_lo, x_hi])
+    tau, w, weights = _split_nodes(t, panels, a, 2.0 - a, _GL_ORDER_OUTER)
+    weights = weights * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
     for arr in (weights, w):
         arr.flags.writeable = False
     return weights, w

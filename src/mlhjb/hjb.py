@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -66,6 +67,8 @@ __all__ = [
 _BOUNDARIES = ("clamp_gradient", "extrapolate_linear")
 _DIVERGENCE_LIMIT = 1e12
 _ESCAPE_INFLATION = 1.5
+# numpy caps an array at sys.maxsize bytes: no float64 array holds a value per time node or axis node past this
+_MAX_VALUES = sys.maxsize // 8
 
 
 def _float_array(seq) -> np.ndarray:
@@ -135,12 +138,16 @@ class SolverConfig:
         if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon) and self.horizon > 0.0):
             raise DomainError(f"horizon must be positive and finite, got {self.horizon!r}")
         steps = self.horizon / self.dt
+        if not steps < _MAX_VALUES:
+            raise DomainError(f"horizon must be fewer than {_MAX_VALUES} dt steps, got {self.horizon!r} at dt {self.dt!r}")
         if abs(steps - round(steps)) > 1e-8 * max(1.0, steps):
             raise DomainError("horizon must be an integer number of dt steps")
         if round(steps) < 1:
             raise DomainError(f"horizon must be at least one dt step, got {self.horizon!r} at dt {self.dt!r}")
         if not (isinstance(self.nx, int) and self.nx >= 8):
             raise DomainError(f"nx must be an integer >= 8, got {self.nx!r}")
+        if self.nx >= _MAX_VALUES:
+            raise DomainError(f"nx must be below {_MAX_VALUES}, got {self.nx!r}")
         if not (isinstance(self.window, int) and self.window >= 1):
             raise DomainError(f"window must be a positive integer, got {self.window!r}")
 

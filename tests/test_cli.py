@@ -484,6 +484,26 @@ class TestSubStepHorizon:
         assert not (tmp_path / "o").exists()
 
 
+class TestUnallocatableSizes:
+    # every count here fails at once: past numpy's sys.maxsize-byte cap, or petabytes past the address space
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["cost", "--problem", "static1d", "--dt", "1", "--horizon", "1e15"], "Unable to allocate"),
+            (["cost", "--problem", "static1d", "--dt", "1", "--horizon", "2e18"], "dt steps"),
+            (["cost", "--problem", "static1d", "--dt", "1", "--horizon", "1e300"], "dt steps"),
+            (["solve", "--problem", "osc2d", "--nx", "1000000000000000"], "Unable to allocate"),
+            (["solve", "--problem", "lq1d", "--nx", "2000000000000000000"], "nx must be below"),
+        ],
+        ids=["cost-horizon-1e15", "cost-horizon-2e18", "cost-horizon-1e300", "solve-osc2d-nx-1e15", "solve-lq1d-nx-2e18"],
+    )
+    def test_exits_2(self, argv, message, capsys, tmp_path):
+        code, out, err = run([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

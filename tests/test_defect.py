@@ -57,6 +57,20 @@ class TestInnerF:
         assert abs(f16 - f8) < 1e-8 * abs(f16)
 
 
+class TestSplitNodes:
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("far, order", [(lambda a: 1.0 - a, 8), (lambda a: 2.0 - a, 6)], ids=["inner", "outer"])
+    def test_weights_integrate_a_constant(self, alpha, far, order):
+        # at the default 8 panels, on the benchmark's verify alphas; the grading exponent of the far end
+        # grows as alpha nears 1 (51 at sigma = s for alpha 0.9), and so does this error
+        length = 0.75
+        x, dist, weights = defect._split_nodes(length, 8, alpha, far(alpha), order)
+        assert weights.sum() == pytest.approx(length, rel=1e-13)
+        # each node's two distances add up to the length, and neither end is a node
+        assert np.allclose(x + dist, length, rtol=0.0, atol=1e-15)
+        assert np.all(x > 0.0) and np.all(dist > 0.0)
+
+
 class TestDeltaMl:
     def test_zero_s(self):
         assert delta_ml(SPEC_HALF, 1.0, 0.0) == 0.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,14 @@ class TestProblemTypes:
             SolverConfig(dt=1.0, horizon=1e-10, nx=9)  # rounds to zero steps
         assert SolverConfig(dt=0.1, horizon=1.0, nx=65).steps == 10
         assert SolverConfig(dt=1.0, horizon=1.0, nx=9).steps == 1
+        # numpy caps an array at sys.maxsize bytes, so sys.maxsize // 8 float64 values
+        limit = sys.maxsize // 8
+        for horizon, dt in ((2e18, 1.0), (1e300, 1.0), (1e300, 1e-300)):
+            with pytest.raises(DomainError, match="dt steps"):
+                SolverConfig(dt=dt, horizon=horizon, nx=9)
+        with pytest.raises(DomainError, match="nx must be below"):
+            SolverConfig(dt=1.0, horizon=1.0, nx=limit)
+        assert SolverConfig(dt=1.0, horizon=1e18, nx=limit - 1).steps == 10**18
 
     def test_stability_guard(self):
         with pytest.raises(DomainError):
