@@ -32,7 +32,7 @@ _SOURCES = {
         "errors",
     ),
     **dict.fromkeys(("DiscountSpec", "ml_one", "ml_two", "kernel", "kernel_deriv"), "specfun"),
-    **dict.fromkeys(("QuadratureConfig", "delta_ml"), "defect"),
+    "delta_ml": "defect",
     **dict.fromkeys(("FracOrder", "amplitude", "l1_frac_deriv", "rl_window_deriv"), "fracderiv"),
     **dict.fromkeys(
         (

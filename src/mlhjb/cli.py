@@ -223,11 +223,8 @@ def _cmd_ml(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .defect import QuadratureConfig
-
     delta_ml = _resolve("delta_ml")
     spec = DiscountSpec(args.alpha, args.lam)
-    quad = QuadratureConfig(panels=args.panels)
     if not args.tol >= 0.0:
         raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
@@ -237,7 +234,7 @@ def _cmd_verify(args) -> int:
     kern = kernel(spec, np.array([args.t, *args.s, *(args.t + s for s in args.s)])).tolist()
     kt = kern[0]
     for s, ks, kts in zip(args.s, kern[1 : n + 1], kern[n + 1 :]):
-        delta = delta_ml(spec, args.t, s, quad)
+        delta = delta_ml(spec, args.t, s, args.panels)
         resid = kt * ks - delta - kts
         worst = max(worst, abs(resid))
         rows.append((args.t, s, kt * ks, delta, kts, resid))

@@ -12,15 +12,23 @@ integral,
 
 Both integrals carry integrable endpoint singularities: sigma^(a-1) and
 tau^(a-1) at the lower ends, (w + s - sigma)^(-a) at sigma = s once w -> 0,
-and a (t - tau)^(1-a) derivative blow-up of F at tau = t.  One node rule,
-``_split_nodes``, serves both: it splits [0, L] at L/2, flattens each end's
-singularity by a power-law change of variable x = h y^r on that end's half,
-and sums composite Gauss-Legendre panels.  It returns each node's distance
-from both ends, the one to its own end exact (never rebuilt by subtracting
-nearly equal floats), which keeps the kernels finite all the way into the
-corner tau -> t, sigma -> s.  Each integral evaluates its special function
-once, over the nodes of both halves; the outer one, which depends only on t,
-once per (spec, t, panels).
+and a (t - tau)^(1-a) derivative blow-up of F at tau = t.  With phi the
+kernel derivative, x = s - sigma and h = s/2, the half next to sigma = s
+subtracts phi(s) and adds its integral in closed form,
+
+    int_0^h (w + x)^(-a) phi(s - x) dx = int_0^h (w + x)^(-a) (phi(s - x) - phi(s)) dx
+                                        + phi(s) ((w + h)^(1-a) - w^(1-a)) / (1 - a),
+
+whose remainder vanishes like x^(1-a) at x = 0, as F does at tau = t.  One
+node rule, ``_split_nodes``, serves both integrals: it splits [0, L] at L/2,
+flattens each end's singularity by a power-law change of variable x = h y^r
+on that end's half, r = ceil(5 / strength) with strength a at 0 and 2 - a at
+L, and sums composite Gauss-Legendre panels.  It returns each node's
+distance from both ends, the one to its own end exact (never rebuilt by
+subtracting nearly equal floats), which keeps the kernels finite all the way
+into the corner tau -> t, sigma -> s.  Each integral evaluates its special
+function once (the inner one at sigma = s too); the outer one, which depends
+only on t, once per (spec, t, panels).
 
 ``delta_ml`` is the public entry; F is evaluated inside it, at every outer
 node at once.
@@ -29,7 +37,6 @@ node at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,27 +45,12 @@ from numpy.polynomial.legendre import leggauss
 from .errors import DomainError
 from .specfun import DiscountSpec, kernel_deriv, ml_two
 
-__all__ = ["QuadratureConfig", "delta_ml"]
+__all__ = ["delta_ml"]
 
 _GL_ORDER_OUTER = 6  # Gauss-Legendre nodes per panel, outer integral
 _GL_ORDER_INNER = 8  # higher order inside F, whose nodes are reused across all w
 _GRADE_TARGET = 5.0  # smoothness exponent aimed for by the power substitutions
-_GRADE_CAP = 400
 _SPLIT = 0.5  # each singular endpoint is graded on its own half of the interval
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Gauss-Legendre panels per graded sub-interval."""
-
-    panels: int = 8
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.panels, int) and self.panels >= 4):
-            raise DomainError(f"panels must be an integer >= 4, got {self.panels!r}")
-
-
-_DEFAULT_QUAD = QuadratureConfig()
 
 
 @lru_cache(maxsize=64)
@@ -73,41 +65,48 @@ def _unit_panels(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _split_nodes(length: float, panels: int, alpha: float, far_strength: float, order: int):
-    """(x, length - x, weights) for int_0^length g(x) dx, g ~ x^(alpha-1) at 0, ~ (length-x)^(far_strength-1) at length."""
+def _split_nodes(length: float, panels: int, alpha: float, order: int):
+    """(x, length - x, weights) for int_0^length g(x) dx, g ~ x^(alpha-1) at 0, ~ (length-x)^(1-alpha) at length."""
     y, w = _unit_panels(panels, order)
 
     def graded(h: float, strength: float):
-        # x = h y^r from the half's own end turns x^(strength-1) into y^(r*strength-1);
-        # r is chosen so that exponent reaches _GRADE_TARGET
-        r = max(2, min(_GRADE_CAP, math.ceil(_GRADE_TARGET / strength)))
-        return h * y**r, w * (h * r) * y ** (r - 1)
+        # x = h y^r from the half's own end turns x^(strength-1) into y^(r*strength-1), r chosen so
+        # that exponent reaches _GRADE_TARGET; a float r, inf for a subnormal alpha, fails the
+        # underflow check (past r ~ 125, alpha ~ 0.04) before h * r can overflow in the weights
+        r = np.ceil(_GRADE_TARGET / strength)
+        x = h * y**r
+        if not x[0] > 0.0:
+            raise DomainError(f"graded quadrature nodes on [0, {h:g}] underflow to 0 at alpha = {alpha:g}")
+        return x, w * (h * r) * y ** (r - 1)
 
     near, w_near = graded(_SPLIT * length, alpha)
-    # r = ceil(5 / alpha) nears 125 as alpha falls to 0.04, where the first node's y^r underflows
-    if not near[0] > 0.0:
-        raise DomainError(f"graded quadrature nodes on [0, {_SPLIT * length:g}] underflow to 0 at alpha = {alpha:g}")
-    far, w_far = graded((1.0 - _SPLIT) * length, far_strength)
+    far, w_far = graded((1.0 - _SPLIT) * length, 2.0 - alpha)
     return np.concatenate([near, length - far]), np.concatenate([length - near, far]), np.concatenate([w_near, w_far])
 
 
-def _inner(spec: DiscountSpec, s: float, q: QuadratureConfig, w: np.ndarray) -> np.ndarray:
+def _inner(spec: DiscountSpec, s: float, panels: int, w: np.ndarray) -> np.ndarray:
     """F at each distance in the 1-D array ``w``, by one shared sigma-quadrature.
 
     With x_j = s - sigma_j (exact on the half near sigma = s) and weights g_j
-    that fold in the kernel-derivative factor and 1/Gamma(1-a),
+    that fold in 1/Gamma(1-a) and phi(sigma_j), less phi(s) on that half,
 
-        F(w) = sum_j g_j (w + x_j)^(-a),
+        F(w) = sum_j g_j (w + x_j)^(-a) + phi(s) ((w + h)^(1-a) - w^(1-a)) / Gamma(2-a),
 
-    summed over each half separately.
+    with the difference formed as (w + h)^(1-a) (1 - (1 + h/w)^(a-1)) by
+    expm1 and log1p, so that it does not cancel when h << w.
     """
     a = spec.alpha
-    sig, x, weights = _split_nodes(s, q.panels, a, 1.0 - a, _GL_ORDER_INNER)
-    g = (weights * kernel_deriv(spec, sig)) * (1.0 / math.gamma(1.0 - a))
+    sig, x, weights = _split_nodes(s, panels, a, _GL_ORDER_INNER)
     n = len(sig) // 2
+    phi = kernel_deriv(spec, np.append(sig, s))  # phi(s) last
+    phi[n:-1] -= phi[-1]
+    g = (weights * phi[:-1]) * (1.0 / math.gamma(1.0 - a))
     k_lo = (w[:, None] + x[None, :n]) ** (-a)
     k_hi = (w[:, None] + x[None, n:]) ** (-a)
-    return k_lo @ g[:n] + k_hi @ g[n:]
+    h = (1.0 - _SPLIT) * s
+    with np.errstate(over="ignore"):  # h / w = inf (t << s) gives the right limit, (w + h)^(1-a)
+        closed = (w + h) ** (1.0 - a) * -np.expm1((a - 1.0) * np.log1p(h / w))
+    return k_lo @ g[:n] + k_hi @ g[n:] + closed * (phi[-1] / math.gamma(2.0 - a))
 
 
 @lru_cache(maxsize=64)
@@ -119,30 +118,32 @@ def _outer_nodes(spec: DiscountSpec, t: float, panels: int) -> tuple[np.ndarray,
     exact near the tau = t endpoint by construction.  Both are read-only.
     """
     a = spec.alpha
-    tau, w, weights = _split_nodes(t, panels, a, 2.0 - a, _GL_ORDER_OUTER)
+    tau, w, weights = _split_nodes(t, panels, a, _GL_ORDER_OUTER)
     weights = weights * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
     for arr in (weights, w):
         arr.flags.writeable = False
     return weights, w
 
 
-def delta_ml(spec: DiscountSpec, t: float, s: float, q: QuadratureConfig | None = None) -> float:
+def delta_ml(spec: DiscountSpec, t: float, s: float, panels: int = 8) -> float:
     """Semigroup defect Delta(t, s) of the discount kernel.
 
     Satisfies kernel(t) * kernel(s) - Delta(t, s) = kernel composed over
-    t + s.  Evaluates the double integral described in the module docstring;
-    returns 0 exactly for s = 0, lam = 0, or alpha = 1 (empty interval,
-    constant kernel, and exact semigroup respectively).  The outer nodes and
-    weights are computed once per (spec, t, panels) and reused for every s.
+    t + s.  Evaluates the double integral described in the module docstring
+    on ``panels`` (an integer >= 4) panels per graded half; returns 0 exactly
+    for s = 0, lam = 0, or alpha = 1 (empty interval, constant kernel, and
+    exact semigroup respectively).  The outer nodes and weights are computed
+    once per (spec, t, panels) and reused for every s.
     """
-    q = q or _DEFAULT_QUAD
     t = float(t)
     s = float(s)
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be positive and finite, got {t!r}")
     if not (math.isfinite(s) and s >= 0.0):
         raise DomainError(f"s must be non-negative and finite, got {s!r}")
+    if not (isinstance(panels, int) and panels >= 4):
+        raise DomainError(f"panels must be an integer >= 4, got {panels!r}")
     if s == 0.0 or spec.lam == 0.0 or spec.alpha == 1.0:
         return 0.0
-    outer_w, w = _outer_nodes(spec, t, q.panels)
-    return float(np.dot(outer_w, _inner(spec, s, q, w)))
+    outer_w, w = _outer_nodes(spec, t, panels)
+    return float(np.dot(outer_w, _inner(spec, s, panels, w)))

@@ -24,7 +24,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from mlhjb import (
     DiscountSpec,
     FracOrder,
-    QuadratureConfig,
     SolverConfig,
     amplitude,
     catalog,
@@ -67,13 +66,12 @@ def _criterion_2():
     times = (0.25, 0.5, 1.0)
     worst = {8: 0.0, 16: 0.0}
     for panels in (8, 16):
-        quad = QuadratureConfig(panels=panels)
         for alpha in alphas:
             for lam in lams:
                 spec = DiscountSpec(alpha, lam)
                 for t in times:
                     for s in times:
-                        lhs = float(kernel(spec, t)) * float(kernel(spec, s)) - delta_ml(spec, t, s, quad)
+                        lhs = float(kernel(spec, t)) * float(kernel(spec, s)) - delta_ml(spec, t, s, panels)
                         resid = abs(lhs - float(kernel(spec, t + s)))
                         worst[panels] = max(worst[panels], resid)
     wall = time.perf_counter() - start

@@ -130,6 +130,24 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert "at alpha = 0.02" in err
 
+    @pytest.mark.parametrize("argv", [["--panels", "3"], ["--panels", "3", "--alpha", "1"]], ids=["a0.5", "a1"])
+    def test_too_few_panels_exits_2(self, argv, capsys):
+        # delta_ml checks the panel count before its alpha = 1 early return
+        assert run(["verify", *argv], capsys) == (2, "", "error: panels must be an integer >= 4, got 3\n")
+
+    @pytest.mark.parametrize("alpha", ["1e-310", "5e-324"])
+    def test_subnormal_alpha_exits_2(self, alpha, capsys):
+        code, out, err = run(["verify", "--alpha", alpha], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: graded quadrature nodes on [0, 0.5] underflow to 0 at alpha = ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("lam", ["-1", "-0.5", "1"])
+    def test_alpha_near_one_passes(self, lam, capsys):
+        code, out, _ = run(["verify", "--alpha", "0.99", "--lambda=" + lam], capsys)
+        assert code == 0
+        assert len(out.strip().splitlines()) == 4
+
     def test_invalid_tolerance_in_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "verify.cfg"
         cfg.write_text("tol = nan\n")
@@ -175,20 +193,20 @@ class TestVerify:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (["--alpha", "0.5"], "6186d33af9f0ffa783119302ab154a419c0e663daf505c8c12d677d8bf1dc44e"),
+            (["--alpha", "0.5"], "4c76748fa21ed82fa45d91ed6a7da33107cd9fcb5b7c0651202cec81c4f855a3"),
             (
                 ["--alpha", "0.3", "--lambda=0.5", "--t", "0.7", "--s", "0.1,0.4,2.0", "--panels", "16",
                  "--scheme", "gauss_legendre"],
-                "d9b8d6900b43d23ca9116d5fce2b4f9c8b2c3808b8cd7ce4440706bcdc0ff1a1",
+                "494e385bd1754acdfbb71255663dc7afe79589f5a1abf728bc52c9807e7db4a1",
             ),
             (
                 ["--alpha", "0.9", "--lambda=-2", "--t", "3", "--s", "0.01,0.5", "--panels", "4"],
-                "1dc1e08ac99b885953ded6450456dd443af83afd7ae0bef2162fe60ac2ea4192",
+                "4cb91b0e4677e278698792ee4e31c032de2318199222f6883085bdb0258c385a",
             ),
             (
                 ["--alpha", "0.5", "--lambda=1.5", "--t", "0.2", "--s", "0.05,1.0", "--panels", "8",
                  "--scheme", "gauss_legendre"],
-                "c4ef49aad6268ab9be988fa475958094ad5dc34726b09420064f1b996cf68b99",
+                "7ca015a3dc7e97f6b3e466d73836d767341180573070eece35a1146b294b6389",
             ),
         ],
         ids=["default", "a0.3-panels16", "a0.9-panels4", "a0.5-positive-lambda"],

@@ -1,4 +1,5 @@
-"""Exact values of lq1d and osc2d from the time-0 matrix Riccati equation.
+"""Exact values of lq1d and osc2d from the time-0 matrix Riccati equation,
+and of bounded1d at alpha = 1 from a threshold argument.
 
 With the discount kernel w(t) = E_a(lam t^a) as a time-varying weight, the
 time-0 problem min int_0^T w(t) (x'Qx + u'Ru)/2 dt, dx = (Ax + Bu) dt, is a
@@ -8,10 +9,12 @@ V(x0, 0) = x0' P(0) x0 / 2, where
     P' = P B R^-1 B' P / w - A'P - PA - wQ,    P(T) = 0.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from mlhjb import DiscountSpec, cli, kernel, lqr_oracle
+from mlhjb import DiscountSpec, SolverConfig, catalog, cli, evaluate_cost, kernel, lqr_oracle
 
 LAM = -0.5
 ONE = np.ones((1, 1))
@@ -84,3 +87,58 @@ class TestOsc2d:
         assert fine[0] == pytest.approx(0.6026577, abs=1e-7)
         assert fine[1] == pytest.approx(0.6075651, abs=1e-7)
         assert abs(fine[1] - coarse[1]) < 1e-7
+
+
+class TestBounded1dExponential:
+    """bounded1d at alpha = 1: L = x^2/2 + 0.1 |u|, dx = u dt, |u| <= 1, x0 = 1, T = 10, weight e^(-rho t), rho = 0.5.
+
+    Resting at x from time t to T costs x^2/2 int_t^T e^(-rho s) ds, so one
+    more unit of distance travelled now saves x e^(-rho t) (1 - e^(-rho (T-t))) / rho
+    against the 0.1 e^(-rho t) it costs.  The threshold law moves at u = -1
+    while x is above
+
+        xbar(t) = 0.1 rho / (1 - e^(-rho (T - t)))
+
+    and rests below it.  From x0 = 1 the path x = 1 - t meets xbar at
+    t* = 0.94945248 (x = 0.05054752); xbar then rises towards T, so the
+    path rests there, and
+
+        V = int_0^t* e^(-rho s) ((1 - s)^2/2 + 0.1) ds + xbar(t*)^2/2 (e^(-rho t*) - e^(-rho T)) / rho
+          = 0.22490251893795805
+
+    (t* by root finding and V by quadrature in mpmath at 30 digits).  This is
+    a consistency check of the rollout and of the solver against that value,
+    not a proof that the threshold law is optimal.
+    """
+
+    RHO, HORIZON = 0.5, 10.0
+    T_STAR = 0.949452481985347275848736965466
+    V = 0.22490251893795805
+
+    def law(self, x, t):
+        # move while x (1 - e^(-rho (T - t))) > 0.1 rho, written so that t = T divides by nothing
+        return -1.0 if -x[0] * math.expm1(-self.RHO * (self.HORIZON - t)) > 0.1 * self.RHO else 0.0
+
+    def test_threshold_meets_path(self):
+        xbar = 0.1 * self.RHO / -math.expm1(-self.RHO * (self.HORIZON - self.T_STAR))
+        assert xbar == pytest.approx(1.0 - self.T_STAR, rel=1e-13)
+
+    def test_threshold_law_rollout_converges_to_value(self):
+        prob = catalog.get("bounded1d").problem
+        spec = DiscountSpec(1.0, -self.RHO)
+        costs = [
+            evaluate_cost(prob, spec, self.law, (1.0,), SolverConfig(dt=dt, horizon=self.HORIZON, nx=129))
+            for dt in (0.01, 0.005, 0.001)
+        ]
+        errors = [abs(cost / self.V - 1.0) for cost in costs]
+        # 5.5e-4, 2.6e-4 and 5.0e-7: the switch time t* falls between steps
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] <= 1e-6
+
+    def test_catalog_solve_replay_at_or_above_value(self, capsys, tmp_path):
+        # the replay of the catalog-default solve's policy reads 0.225357
+        assert cli.main(["solve", "--problem", "bounded1d", "--alpha", "1", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        policy = str(tmp_path / "policy.csv")
+        assert cli.main(["cost", "--problem", "bounded1d", "--alpha", "1", "--policy", policy]) == 0
+        assert float(capsys.readouterr().out) >= self.V
