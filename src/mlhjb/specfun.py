@@ -176,8 +176,9 @@ def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     for lo in range(0, z.size, _BLOCK):
         gap = sa_re - z[lo : lo + _BLOCK, None]
-        # Re[w / (gap + i sa_im)] summed over the nodes
-        out[lo : lo + _BLOCK] = ((w_re * gap + w_im * sa_im) / (gap * gap + sa_im * sa_im)).sum(axis=1)
+        # Re[w / (gap + i sa_im)] summed over the nodes; gap^2 = inf past |z| ~ 1e154 gives the right limit, 0
+        with np.errstate(over="ignore"):
+            out[lo : lo + _BLOCK] = ((w_re * gap + w_im * sa_im) / (gap * gap + sa_im * sa_im)).sum(axis=1)
     return out
 
 
@@ -288,6 +289,10 @@ def ml_two(alpha: float, beta: float, z):
         raise DomainError(f"ml_two requires alpha > 0, got {alpha}")
     if not math.isfinite(beta) or beta <= 0.0:
         raise DomainError(f"ml_two requires beta > 0, got {beta}")
+    try:
+        math.gamma(beta)  # the series' first term is 1 / Gamma(beta)
+    except OverflowError:
+        raise DomainError(f"ml_two requires Gamma(beta) below the float64 maximum, got beta = {beta}") from None
     return _eval_series(alpha, beta, z)
 
 

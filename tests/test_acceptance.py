@@ -14,7 +14,6 @@ import math
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -244,17 +243,15 @@ def _criterion_9():
     """Byte-stable solve output and the documented failure exit codes."""
     fast = ["--dt", "0.02", "--horizon", "1", "--nx", "33", "--window", "8", "--alpha", "0.8"]
     sink = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        warnings.simplefilter("ignore")
-        with tempfile.TemporaryDirectory() as tmp:
-            a, b = Path(tmp) / "a", Path(tmp) / "b"
-            ok_runs = cli.main(["solve", *fast, "--out", str(a)]) == 0 and cli.main(["solve", *fast, "--out", str(b)]) == 0
-            identical = all(
-                (a / name).read_bytes() == (b / name).read_bytes() for name in ("value.csv", "policy.csv", "residual.csv")
-            )
-            code1 = cli.main(["verify", "--alpha", "0.5", "--tol", "1e-20"])
-            code2 = cli.main(["ml", "--alpha", "0", "--z", "2"])
-            code3 = cli.main(["solve", "--problem", "static1d", "--lambda", "5", "--alpha", "0.8", "--out", str(a)])
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), tempfile.TemporaryDirectory() as tmp:
+        a, b = Path(tmp) / "a", Path(tmp) / "b"
+        ok_runs = cli.main(["solve", *fast, "--out", str(a)]) == 0 and cli.main(["solve", *fast, "--out", str(b)]) == 0
+        identical = all(
+            (a / name).read_bytes() == (b / name).read_bytes() for name in ("value.csv", "policy.csv", "residual.csv")
+        )
+        code1 = cli.main(["verify", "--alpha", "0.5", "--tol", "1e-20"])
+        code2 = cli.main(["ml", "--alpha", "0", "--z", "2"])
+        code3 = cli.main(["solve", "--problem", "static1d", "--lambda", "5", "--alpha", "0.8", "--out", str(a)])
     ok = ok_runs and identical and code1 == 1 and code2 == 2 and code3 == 3
     return ok, (
         f"repeat solve byte-identical: {'yes' if identical else 'no'}; "

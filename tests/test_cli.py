@@ -15,9 +15,6 @@ import pytest
 
 from mlhjb import cli
 
-# coarse solves here use short memory windows on purpose
-pytestmark = pytest.mark.filterwarnings("ignore:memory window")
-
 
 def run(argv, capsys):
     code = cli.main(argv)
@@ -96,6 +93,16 @@ class TestMl:
         assert out == ""
         assert err.startswith("error:")
 
+
+    @pytest.mark.parametrize("beta", ["172", "1e-320"])
+    def test_gamma_overflow_exits_2(self, beta, capsys):
+        code, out, err = run(["ml", "--alpha", "0.5", "--beta", beta, "--z=-5"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ml_two requires Gamma(beta)") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--z=-1e300"], ["--beta", "2", "--z=-1e300"]])
+    def test_huge_negative_argument_is_quiet(self, argv, capsys):
+        assert run(["ml", "--alpha", "0.5", *argv], capsys) == (0, "0.000000000000\n", "")
 
     def test_deep_beta_lowering(self, capsys):
         # about 2,000 steps of a lower b to the contour region, in a loop
@@ -310,7 +317,21 @@ class TestSolve:
             capsys,
         )
         assert code == 3
-        assert "diverged" in err
+        assert err.startswith("error: value field diverged") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, summary",
+        [
+            # d = E_0.5(-2) = erfcx(2) at every step: dt (1 - d^160) / (1 - d) = 0.3357487890498094
+            (["--lambda=-4", "--dt", "0.25"], "V(x0,0) = 0.335748789050"),
+            (["--lambda=-1e300", "--horizon", "0.05", "--dt", "0.01"], "V(x0,0) = 0.010000000000"),
+        ],
+        ids=["coarse-dt", "huge-rate"],
+    )
+    def test_any_dt_and_rate_solve_quietly(self, argv, summary, capsys, tmp_path):
+        code, out, err = run(["solve", "--problem", "static1d", "--alpha", "0.5", *argv, "--out", str(tmp_path)], capsys)
+        assert (code, err) == (0, "")
+        assert summary in out
 
     def test_unknown_problem_exits_2(self, capsys):
         assert run(["solve", "--problem", "nosuch"], capsys)[0] == 2
@@ -712,6 +733,11 @@ class TestCost:
         code, out, err = run(["cost", "--policy", str(tmp_path / "absent.csv")], capsys)
         assert (code, out) == (2, "")
         assert "cannot read policy file" in err
+
+    def test_lqr_feedback_without_a_finite_root_exits_2(self, capsys):
+        code, out, err = run(["cost", "--problem", "lq1d", "--feedback", "lqr", "--lambda=-1e300"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: the Riccati root is not a finite float") and err.count("\n") == 1
 
     def test_lqr_feedback_other_problem_exits_2(self, capsys):
         assert run(["cost", "--problem", "static1d", "--feedback", "lqr"], capsys)[0] == 2

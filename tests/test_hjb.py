@@ -94,11 +94,25 @@ class TestProblemTypes:
             SolverConfig(dt=1.0, horizon=1.0, nx=limit)
         assert SolverConfig(dt=1.0, horizon=1e18, nx=limit - 1).steps == 10**18
 
-    def test_stability_guard(self):
-        with pytest.raises(DomainError):
-            solve_classical(LQ, DiscountSpec(1.0, -200.0), COARSE)
-        with pytest.warns(UserWarning):
-            solve_classical(LQ, DiscountSpec(1.0, 200.0), SolverConfig(dt=0.01, horizon=0.05, nx=65))
+    @pytest.mark.parametrize("alpha, lam, dt", [(1.0, -200.0, 0.01), (0.5, -4.0, 0.25), (0.8, -0.5, 0.01)])
+    def test_static_march_matches_its_closed_form(self, alpha, lam, dt):
+        # L = 1 and no motion: V(x, 0) = dt (1 - d^n) / (1 - d) with d = kernel(spec, dt), at any dt;
+        # d <= 1 for lam <= 0 (E_a(-x) is completely monotone), so no step size is out of range
+        spec = DiscountSpec(alpha, lam)
+        cfg = SolverConfig(dt=dt, horizon=40.0, nx=9)
+        d = float(kernel(spec, dt))
+        if alpha == 0.5:
+            assert d == pytest.approx(erfcx(-lam * dt**0.5), rel=1e-14)
+        fld, _ = solve_fractional(catalog.get("static1d").problem, spec, cfg, slices=[0])
+        assert np.allclose(fld.values[0], dt * (1.0 - d**cfg.steps) / (1.0 - d), rtol=1e-12, atol=0.0)
+
+    def test_growth_fails_on_numbers_only(self):
+        # lam > 0: a short horizon solves without a warning, a long one passes the divergence limit
+        static = catalog.get("static1d").problem
+        fld, _ = solve_classical(static, DiscountSpec(1.0, 200.0), SolverConfig(dt=0.01, horizon=0.05, nx=9))
+        assert fld.values[0] == pytest.approx(0.01 * math.expm1(10.0) / math.expm1(2.0), rel=1e-12)
+        with pytest.raises(DivergenceError):
+            solve_fractional(static, DiscountSpec(0.8, 5.0), SolverConfig(dt=0.01, horizon=40.0, nx=9))
 
 
 class TestCatalog:
@@ -204,17 +218,11 @@ class TestSolveFractional:
         assert np.all(np.isnan(fld.residual[: COARSE.window]))
         assert np.all(np.isfinite(fld.residual[COARSE.window : COARSE.steps]))
 
-    def test_short_window_warns(self):
-        cfg = SolverConfig(dt=0.02, horizon=1.0, nx=33, window=4)
-        with pytest.warns(UserWarning):
-            solve_fractional(LQ, DiscountSpec(0.8, -0.5), cfg)
-
     def test_residual_self_convergence(self):
         # window sized so the leading L1 truncation term cancels: alpha/(1-alpha) steps
         def worst_residual(dt, nx):
             cfg = SolverConfig(dt=dt, horizon=2.0, nx=nx, window=4)
-            with pytest.warns(UserWarning):
-                fld, _ = solve_fractional(LQ, DiscountSpec(0.8, -0.5), cfg)
+            fld, _ = solve_fractional(LQ, DiscountSpec(0.8, -0.5), cfg)
             nt = cfg.steps
             rows = fld.residual[max(4, nt // 4) : 3 * nt // 4]
             return np.abs(rows[:, 2:-2]).max()
@@ -664,6 +672,10 @@ class TestLqrOracle:
             lqr_oracle(0.0, 1.0, -1.0, 1.0, 0.0)
         with pytest.raises(DomainError):
             lqr_oracle(0.0, 0.0, 1.0, 1.0, 0.0)
+        # so must the root and its gain: a square past float range, b * b = 0, or q / r = inf
+        for args in ((0, 1, 1, 1, -1e300), (0, 1, 1, 1, 2e154), (0, 1e-200, 1, 1, 0), (0, 1, 1e300, 1e-300, 0)):
+            with pytest.raises(DomainError, match="not a finite float"):
+                lqr_oracle(*args)
         # every argument must be finite
         for k in range(5):
             for bad in (math.nan, math.inf, -math.inf):

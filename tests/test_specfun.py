@@ -152,6 +152,12 @@ class TestMlOne:
         # each point takes the route its own argument picks, array or scalar
         assert np.array_equal(got, [ml_one(0.5, -xi) for xi in x])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z", [-1e160, -1e300])
+    def test_half_is_erfcx_at_huge_argument(self, z):
+        # the contour's gap^2 overflows to inf past |z| ~ 1e154, its right limit: silently, to the last bit
+        assert ml_one(0.5, z) == erfcx(-z)
+
     def test_scalar_past_the_cut_is_fast(self):
         # a point past the cut costs one 27-node contour sum and no series loop
         ml_one(0.5, -20.0)
@@ -350,6 +356,14 @@ class TestMlTwo:
             ml_two(0.5, 0.0, 0.5)
         with pytest.raises(DomainError):
             ml_two(0.5, -1.0, 0.5)
+        # Gamma(beta), whose reciprocal starts the series, overflows
+        for beta in (172.0, 1e-320):
+            with pytest.raises(DomainError, match="Gamma"):
+                ml_two(0.5, beta, -5.0)
+        with pytest.raises(DomainError, match="Gamma"):
+            kernel_deriv(DiscountSpec(1e-320, -1.0), 1.0)
+        # the largest integer beta whose Gamma is a float keeps its value
+        assert ml_two(0.5, 171.0, 1e3) == 8.164726071416845e-304
 
 
 class TestDiscountSpec:
