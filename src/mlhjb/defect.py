@@ -28,7 +28,8 @@ distance from both ends, the one to its own end exact (never rebuilt by
 subtracting nearly equal floats), which keeps the kernels finite all the way
 into the corner tau -> t, sigma -> s.  Each integral evaluates its special
 function once (the inner one at sigma = s too); the outer one, which depends
-only on t, once per (spec, t, panels).
+only on t, once per (spec, t, panels): ``_outer_nodes`` keeps them in the
+package's one cache.
 
 ``delta_ml`` is the public entry; F is evaluated inside it, at every outer
 node at once.
@@ -51,12 +52,13 @@ _GL_ORDER_OUTER = 6  # Gauss-Legendre nodes per panel, outer integral
 _GL_ORDER_INNER = 8  # higher order inside F, whose nodes are reused across all w
 _GRADE_TARGET = 5.0  # smoothness exponent aimed for by the power substitutions
 _SPLIT = 0.5  # each singular endpoint is graded on its own half of the interval
+# Gauss-Legendre nodes and weights on [-1, 1], by order
+_GL_RULES = {order: leggauss(order) for order in (_GL_ORDER_OUTER, _GL_ORDER_INNER)}
 
 
-@lru_cache(maxsize=64)
 def _unit_panels(panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre nodes and weights on [0, 1]."""
-    y, w = leggauss(order)
+    y, w = _GL_RULES[order]
     edges = np.linspace(0.0, 1.0, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)

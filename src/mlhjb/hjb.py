@@ -430,8 +430,11 @@ def solve_fractional(
     then holds window + 2 slices besides the kept ones, and the residual is
     computed only on kept rows; each kept number has the same bits as in the
     full solve.  Any window >= 1 is allowed: a short one makes the residual
-    cruder, not the values.
+    cruder, not the values.  The residual's order 1 - alpha must round below
+    1, so alpha must exceed 2^-54.
     """
+    if not 1.0 - spec.alpha < 1.0:
+        raise DomainError(f"alpha must exceed 2^-54 so that the residual order 1 - alpha rounds below 1, got {spec.alpha!r}")
     return _march(prob, spec, cfg, slices=slices, residual=True)
 
 
@@ -511,8 +514,10 @@ def lqr_oracle(a: float, b: float, q: float, r: float, lam: float) -> tuple[floa
     """Stabilizing root of the discounted scalar Riccati equation.
 
     Solves (b^2/r) P^2 - (2a + lam) P - q = 0 for the root reached by value
-    iteration and returns (P, k) with feedback u = k x, k = -P b / r.  Raises
-    DomainError where P or k is not a finite float.
+    iteration and returns (P, k) with feedback u = k x, k = -P b / r.  For
+    2a + lam < 0 it takes the conjugate form 2q / (sqrt(disc) - (2a + lam)),
+    where r ((2a + lam) + sqrt(disc)) / (2 b^2) would cancel.  Raises
+    DomainError where the discriminant, P or k is not a finite float.
     """
     if not all(math.isfinite(v) for v in (a, b, q, r, lam)):
         raise DomainError(f"a, b, q, r and lam must be finite, got {(a, b, q, r, lam)!r}")
@@ -520,12 +525,13 @@ def lqr_oracle(a: float, b: float, q: float, r: float, lam: float) -> tuple[floa
         raise DomainError(f"r must be positive, got {r!r}")
     if not (q >= 0.0):
         raise DomainError(f"q must be non-negative, got {q!r}")
+    c = 2.0 * a + lam
     try:
-        disc = (2.0 * a + lam) ** 2 + 4.0 * q * b * b / r
-        P = r * ((2.0 * a + lam) + math.sqrt(disc)) / (2.0 * b * b)
+        disc = c**2 + 4.0 * q * b * b / r
+        P = r * (c + math.sqrt(disc)) / (2.0 * b * b) if c >= 0.0 else 2.0 * q / (math.sqrt(disc) - c)
     except (OverflowError, ZeroDivisionError):  # a square past float range, or b * b = 0 (b = 0 among them)
-        P = math.inf
+        P = disc = math.inf
     k = -P * b / r
-    if not math.isfinite(k):  # inf or NaN wherever P is
+    if not (disc < math.inf and math.isfinite(k)):  # disc = inf gives P = 0 for c < 0, not the root
         raise DomainError(f"the Riccati root is not a finite float at (a, b, q, r, lam) = {(a, b, q, r, lam)!r}")
     return P, k

@@ -10,11 +10,11 @@ are evaluated in float64, each point routed by (a, b, z) before any sum:
 - z <= 0 with 0 < a <= 1, up to a cut: exp(z) at a = b = 1, else Garrappa's
   optimal parabolic contour (OPC) for the inverse Laplace transform of
   s^(a-b) / (s^a - z) (R. Garrappa, SIAM J. Numer. Anal. 53(3), 2015), one
-  fixed 27-node half contour for every z.  At z <= -1, E_{a,b}(z) =
-  (E_{a,b-a}(z) - 1/Gamma(b-a)) / z lowers b until b <= 1 and makes the
-  leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.  The cut is 0
-  at a = b = 1 and for a < 0.1, -c^a, c = _CUT, elsewhere in the kernel
-  region 0 < b <= 1 + a (every kernel, kernel-derivative and defect
+  fixed 28-node half contour for every z, built on each call.  At z <= -1,
+  E_{a,b}(z) = (E_{a,b-a}(z) - 1/Gamma(b-a)) / z lowers b until b <= 1 and
+  makes the leading -1/(z Gamma(b-a)) of the large-|z| expansion exact.  The
+  cut is 0 at a = b = 1 and for a < 0.1, -c^a, c = _CUT, elsewhere in the
+  kernel region 0 < b <= 1 + a (every kernel, kernel-derivative and defect
   evaluation), and -b^a for b > 1 + a; the series takes the z <= 0 above it.
 - z > 0 with 0 < a <= 1: the power series, whose terms are all positive.  A
   point whose own sum overflows or runs past 2,000 terms takes the pole
@@ -48,7 +48,6 @@ heavy-tailed relaxation for 0 < a < 1.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -150,13 +149,13 @@ def _series_float(alpha: float, beta: float, z: np.ndarray):
     return total, peak, ok & done
 
 
-@functools.lru_cache(maxsize=16)
-def _contour(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
-    """Trapezoidal rule for (1 / 2 pi i) int e^s s^(a-b) / (s^a - z) ds on the OPC.
+def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
+    """E_{alpha,beta}(z) for real z <= 0 by the OPC rule, in blocks of points.
 
-    Returns the real and imaginary parts of s^a and of the weights at the
-    nodes u >= 0 of the upper half; for real z the lower half contributes
-    the complex conjugate, so its weights are folded into these.
+    The trapezoidal rule for (1 / 2 pi i) int e^s s^(a-b) / (s^a - z) ds is
+    built here, at the nodes u >= 0 of the upper half; for real z the lower
+    half contributes the complex conjugate, so its weights are folded into
+    these.
     """
     u = _STEP * np.arange(_NODES + 1)
     s = _MU * (1.0 + 1j * u) ** 2
@@ -164,15 +163,7 @@ def _contour(alpha: float, beta: float) -> tuple[np.ndarray, ...]:
     weights = (2.0 * _STEP * _MU / math.pi) * (1.0 + 1j * u) * np.exp(s) * s ** (alpha - beta)
     weights[0] *= 0.5
     s_alpha = s**alpha
-    parts = (s_alpha.real, s_alpha.imag, weights.real, weights.imag)
-    for part in parts:
-        part.flags.writeable = False
-    return parts
-
-
-def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
-    """E_{alpha,beta}(z) for real z <= 0 by the OPC rule, in blocks of points."""
-    sa_re, sa_im, w_re, w_im = _contour(alpha, beta)
+    sa_re, sa_im, w_re, w_im = s_alpha.real, s_alpha.imag, weights.real, weights.imag
     out = np.empty_like(z)
     for lo in range(0, z.size, _BLOCK):
         gap = sa_re - z[lo : lo + _BLOCK, None]

@@ -333,6 +333,17 @@ class TestSolve:
         assert (code, err) == (0, "")
         assert summary in out
 
+    @pytest.mark.parametrize("argv", [["--alpha", "5e-17"], ["--alpha", "1e-300", "--window", "100"]])
+    def test_alpha_below_its_floor_exits_2(self, argv, capsys, tmp_path):
+        # 1 - alpha rounds to 1; the error names alpha, not the residual's derivative order
+        base = ["solve", "--problem", "lq1d", "--horizon", "0.1", "--dt", "0.01", "--nx", "9", "--out", str(tmp_path)]
+        code, out, err = run([*base, *argv], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha must exceed 2^-54") and err.count("\n") == 1
+        # below 2^-53, but above 2^-54: 1 - alpha rounds to 1 - 2^-53 and the solve runs
+        code, out, _ = run([*base, "--alpha", "1.1e-16"], capsys)
+        assert code == 0 and "V(x0,0) = 0.014739877051" in out
+
     def test_unknown_problem_exits_2(self, capsys):
         assert run(["solve", "--problem", "nosuch"], capsys)[0] == 2
 

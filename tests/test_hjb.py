@@ -231,6 +231,26 @@ class TestSolveFractional:
         r_fine = worst_residual(0.01, 129)
         assert r_coarse / r_fine >= 1.5
 
+    @pytest.mark.parametrize("dt", [0.02, 0.005])
+    def test_order_one_residual_closed_form(self, dt):
+        # static1d at alpha = 1: min H = 1, no spatial error and D^0 V = V.  With x = -lam dt and
+        # V_r >= dt, res_r = -lam dt (1 + lam V_r / 2) + x^2/2 - (V_r/dt - 1)(e^x - 1 - x - x^2/2),
+        # so the remainder is at most x^2/2, reached at V_r = dt; V_t rounds to about eps |V| / dt
+        lam = -0.5
+        cfg = SolverConfig(dt=dt, horizon=4.0, nx=9, window=8)
+        fld, _ = solve_fractional(catalog.get("static1d").problem, DiscountSpec(1.0, lam), cfg)
+        rows = slice(cfg.window, cfg.steps)
+        rem = fld.residual[rows] - (-lam * dt * (1.0 + lam * fld.values[rows] / 2.0))
+        assert np.all(np.abs(rem) <= lam**2 * dt**2 / 2.0 + 1e-12)
+
+    @pytest.mark.parametrize("alpha", [5e-17, 2.0**-54, 1e-300])
+    def test_alpha_floor(self, alpha):
+        # 1 - alpha rounds to 1, which no derivative order may be: the error names alpha
+        with pytest.raises(DomainError, match="alpha must exceed 2\\^-54"):
+            solve_fractional(LQ, DiscountSpec(alpha, -0.5), SolverConfig(dt=0.01, horizon=0.1, nx=9, window=100))
+        fld, _ = solve_fractional(LQ, DiscountSpec(1.1e-16, -0.5), SolverConfig(dt=0.01, horizon=0.1, nx=9))
+        assert np.all(np.isfinite(fld.values))
+
 
 class TestTimeInvariance:
     CFG = SolverConfig(dt=0.02, horizon=0.5, nx=17, window=10)
@@ -665,6 +685,17 @@ class TestLqrOracle:
         assert (b * b / r) * P * P - (2.0 * a + lam) * P - q == pytest.approx(0.0, abs=1e-12)
         assert k == pytest.approx(-P * b / r, rel=1e-15)
 
+    @pytest.mark.parametrize("lam", [-1e4, -1e8, -1e10])
+    def test_no_cancellation_for_negative_rate(self, lam):
+        # P (sqrt(disc) - (2a + lam)) = 2q; (2a + lam) + sqrt(disc) cancels, to P = 0 at lam = -1e10
+        P, k = lqr_oracle(0.0, 1.0, 1.0, 1.0, lam)
+        assert P * (math.sqrt(lam * lam + 4.0) - lam) == pytest.approx(2.0, rel=1e-15)
+        assert k == -P
+
+    def test_uncontrolled_root(self):
+        # b = 0 leaves -(2a + lam) P - q = 0: P = q / |2a + lam| where that is positive
+        assert lqr_oracle(-1.0, 0.0, 1.0, 1.0, 0.0) == (0.5, 0.0)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             lqr_oracle(0.0, 1.0, 1.0, 0.0, 0.0)
@@ -673,7 +704,13 @@ class TestLqrOracle:
         with pytest.raises(DomainError):
             lqr_oracle(0.0, 0.0, 1.0, 1.0, 0.0)
         # so must the root and its gain: a square past float range, b * b = 0, or q / r = inf
-        for args in ((0, 1, 1, 1, -1e300), (0, 1, 1, 1, 2e154), (0, 1e-200, 1, 1, 0), (0, 1, 1e300, 1e-300, 0)):
+        for args in (
+            (0, 1, 1, 1, -1e300),
+            (0, 1, 1, 1, 2e154),
+            (0, 1e-200, 1, 1, 0),
+            (0, 1, 1e300, 1e-300, 0),
+            (0, 1, 1e300, 1e-300, -1),  # the conjugate form would return 0 here
+        ):
             with pytest.raises(DomainError, match="not a finite float"):
                 lqr_oracle(*args)
         # every argument must be finite
