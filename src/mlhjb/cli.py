@@ -229,12 +229,13 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
     worst = 0.0
-    # one kernel call over t, every s and every t + s; each value equals its scalar call
+    # one kernel call over t, every s and every t + s, and one delta_ml call over
+    # every s; each value equals its scalar call
     n = len(args.s)
     kern = kernel(spec, np.array([args.t, *args.s, *(args.t + s for s in args.s)])).tolist()
     kt = kern[0]
-    for s, ks, kts in zip(args.s, kern[1 : n + 1], kern[n + 1 :]):
-        delta = delta_ml(spec, args.t, s, args.panels)
+    deltas = delta_ml(spec, args.t, np.array(args.s), args.panels).tolist()
+    for s, ks, kts, delta in zip(args.s, kern[1 : n + 1], kern[n + 1 :], deltas):
         resid = kt * ks - delta - kts
         worst = max(worst, abs(resid))
         rows.append((args.t, s, kt * ks, delta, kts, resid))
@@ -386,6 +387,12 @@ def _policy_rows(path: str, raw: bytes, dim_x: int, dim_u: int) -> np.ndarray:
     raise ConfigError(f"policy file {path!r} contains non-numeric cells")
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """np.unique of finite ``values``, without the numpy.ma import that np.unique makes."""
+    ordered = np.sort(values)
+    return ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+
+
 def _read_policy(path: str, dim_x: int, dim_u: int = 1):
     """The policy file at ``path`` for a problem with ``dim_x`` states and ``dim_u`` controls."""
     from .hjb import Policy
@@ -397,8 +404,12 @@ def _read_policy(path: str, dim_x: int, dim_u: int = 1):
         raise ConfigError(f"cannot read policy file {path!r}: {exc}")
     data = _policy_rows(path, raw, dim_x, dim_u)
     del raw  # the table holds all that the index needs
-    tvals = np.unique(data[:, 0])
-    axes = [np.unique(data[:, 1 + d]) for d in range(dim_x)]
+    # a control cell may be non-finite (the rollout then escapes), a node coordinate may not
+    bad = np.argwhere(~np.isfinite(data[:, : 1 + dim_x]))
+    if bad.size:
+        row, col = bad[0]
+        raise ConfigError(f"policy file {path!r} line {row + 2} column {col + 1}: non-finite t or x cell {float(data[row, col])!r}")
+    tvals, *axes = (_sorted_unique(data[:, c]) for c in range(1 + dim_x))
     shape = (len(tvals),) + tuple(len(ax) for ax in axes)
     expected = int(np.prod(shape))
     if data.shape[0] != expected:

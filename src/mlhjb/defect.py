@@ -27,18 +27,16 @@ L, and sums composite Gauss-Legendre panels.  It returns each node's
 distance from both ends, the one to its own end exact (never rebuilt by
 subtracting nearly equal floats), which keeps the kernels finite all the way
 into the corner tau -> t, sigma -> s.  Each integral evaluates its special
-function once (the inner one at sigma = s too); the outer one, which depends
-only on t, once per (spec, t, panels): ``_outer_nodes`` keeps them in the
-package's one cache.
+function once (the inner one at sigma = s too): the outer one, which depends
+only on t, once per ``delta_ml`` call, and the inner one once per nonzero s.
 
-``delta_ml`` is the public entry; F is evaluated inside it, at every outer
-node at once.
+``delta_ml`` is the public entry; it takes one s or an array of them, and
+evaluates F inside, at every outer node at once.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -111,41 +109,37 @@ def _inner(spec: DiscountSpec, s: float, panels: int, w: np.ndarray) -> np.ndarr
     return k_lo @ g[:n] + k_hi @ g[n:] + closed * (phi[-1] / math.gamma(2.0 - a))
 
 
-@lru_cache(maxsize=64)
-def _outer_nodes(spec: DiscountSpec, t: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Outer tau-quadrature of Delta(t, .), which depends on t alone.
-
-    Returns (weights, w): the weights with tau^(a-1) E_{a,a}(lam tau^a)
-    folded in, and the distances w = t - tau at which F is evaluated, kept
-    exact near the tau = t endpoint by construction.  Both are read-only.
-    """
-    a = spec.alpha
-    tau, w, weights = _split_nodes(t, panels, a, _GL_ORDER_OUTER)
-    weights = weights * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
-    for arr in (weights, w):
-        arr.flags.writeable = False
-    return weights, w
-
-
-def delta_ml(spec: DiscountSpec, t: float, s: float, panels: int = 8) -> float:
+def delta_ml(spec: DiscountSpec, t: float, s, panels: int = 8):
     """Semigroup defect Delta(t, s) of the discount kernel.
 
     Satisfies kernel(t) * kernel(s) - Delta(t, s) = kernel composed over
     t + s.  Evaluates the double integral described in the module docstring
-    on ``panels`` (an integer >= 4) panels per graded half; returns 0 exactly
+    on ``panels`` (an integer >= 4) panels per graded half; Delta is 0 exactly
     for s = 0, lam = 0, or alpha = 1 (empty interval, constant kernel, and
-    exact semigroup respectively).  The outer nodes and weights are computed
-    once per (spec, t, panels) and reused for every s.
+    exact semigroup respectively).  ``s`` is a scalar, which returns a float,
+    or a 1-D array, which returns a float array whose elements equal the
+    scalar calls; the outer quadrature, which depends on t alone, is built
+    once per call and shared by every s.
     """
     t = float(t)
-    s = float(s)
+    s_arr = np.asarray(s, dtype=float)
+    svals = s_arr.ravel()
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"t must be positive and finite, got {t!r}")
-    if not (math.isfinite(s) and s >= 0.0):
-        raise DomainError(f"s must be non-negative and finite, got {s!r}")
+    if s_arr.ndim > 1:
+        raise DomainError(f"s must be a scalar or a 1-D array, got shape {s_arr.shape}")
+    bad = ~(np.isfinite(svals) & (svals >= 0.0))
+    if bad.any():
+        raise DomainError(f"s must be non-negative and finite, got {float(svals[bad][0])!r}")
     if not (isinstance(panels, int) and panels >= 4):
         raise DomainError(f"panels must be an integer >= 4, got {panels!r}")
-    if s == 0.0 or spec.lam == 0.0 or spec.alpha == 1.0:
-        return 0.0
-    outer_w, w = _outer_nodes(spec, t, panels)
-    return float(np.dot(outer_w, _inner(spec, s, panels, w)))
+    out = np.zeros(svals.shape)
+    if spec.lam != 0.0 and spec.alpha != 1.0 and svals.any():
+        # the outer tau-quadrature: weights with tau^(a-1) E_{a,a}(lam tau^a) folded in, and the
+        # distances w = t - tau at which F is evaluated, exact near the tau = t endpoint
+        a = spec.alpha
+        tau, w, weights = _split_nodes(t, panels, a, _GL_ORDER_OUTER)
+        weights = weights * (tau ** (a - 1.0) * ml_two(a, a, spec.lam * tau**a))
+        for i in np.flatnonzero(svals):
+            out[i] = np.dot(weights, _inner(spec, float(svals[i]), panels, w))
+    return float(out[0]) if s_arr.ndim == 0 else out

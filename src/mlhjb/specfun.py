@@ -157,6 +157,8 @@ def _contour_sum(alpha: float, beta: float, z: np.ndarray) -> np.ndarray:
     half contributes the complex conjugate, so its weights are folded into
     these.
     """
+    if not z.size:
+        return np.empty_like(z)
     u = _STEP * np.arange(_NODES + 1)
     s = _MU * (1.0 + 1j * u) ** 2
     # h / (2 pi i) * ds/du = h mu (1 + iu) / pi, doubled for the lower half

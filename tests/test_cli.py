@@ -816,10 +816,16 @@ class TestCost:
             # lq1d has one state and one control: neither x2 nor u2 may be read as its control
             ("t,x1,x2,u\n0,-2,-2,0.1\n0,-2,2,0.1\n0,2,-2,0.1\n0,2,2,0.1\n", "does not match"),
             ("t,x,u1,u2\n0,-2,0.1,0.3\n0,2,0.1,0.3\n", "does not match"),
+            # a non-finite time or coordinate is no grid node; a non-finite control parses
+            ("t,x,u\n0,-1,0.5\n0,1,0.5\nnan,-1,0.5\nnan,1,0.5\n", "line 4 column 1: non-finite t or x cell nan"),
+            ("t,x,u\n0,-1,0.5\n0,1,0.5\ninf,-1,0.5\ninf,1,0.5\n", "line 4 column 1: non-finite t or x cell inf"),
+            ("t,x,u\n0,-1,0.5\n0,nan,0.5\n", "line 3 column 2: non-finite t or x cell nan"),
+            ("t,x,u\n0,-1,0.5\n0,-inf,0.5\n", "line 3 column 2: non-finite t or x cell -inf"),
         ],
         ids=[
             "all-short", "all-long", "short-row", "long-row", "non-numeric", "blank-line", "blank-last", "form-feed",
             "underscore", "arabic-indic-digit", "lone-cr", "latin-1-cell", "latin-1-header", "osc2d-file", "extra-control",
+            "nan-time", "inf-time", "nan-coordinate", "minus-inf-coordinate",
         ],
     )
     def test_policy_row_errors_exit_2(self, text, message, capsys, tmp_path):
@@ -955,10 +961,11 @@ class TestParser:
 
 
 # modules a command should not load, where it matters for start-up time
-_HEAVY = ("mlhjb.hjb", "mlhjb.catalog", "mlhjb.fracderiv", "mlhjb.defect", "numpy.polynomial", "csv")
+_HEAVY = ("mlhjb.hjb", "mlhjb.catalog", "mlhjb.fracderiv", "mlhjb.defect", "numpy.polynomial", "numpy.ma", "csv")
 
 
 class TestImports:
+    # "{tmp}" in argv stands for a fresh directory, which holds a 2 x 2 lq1d policy.csv
     @pytest.mark.parametrize(
         "argv, absent",
         [
@@ -966,10 +973,17 @@ class TestImports:
             (["ml", "--z", "1"], ("mlhjb.hjb", "mlhjb.fracderiv", "mlhjb.defect", "numpy.polynomial", "csv")),
             (["verify", "--alpha", "0.5", "--s", "0.5"], ("mlhjb.hjb", "mlhjb.fracderiv", "csv")),
             (["cost", "--problem", "zero1d"], ("mlhjb.defect", "numpy.polynomial", "csv")),
+            (
+                ["cost", "--policy", "{tmp}/policy.csv", "--horizon", "0.002", "--dt", "0.001", "--x0=0.5"],
+                ("mlhjb.defect", "numpy.polynomial", "numpy.ma", "csv"),
+            ),
+            (["solve", "--problem", "lq1d", *FAST_SOLVE, "--out", "{tmp}"], ("mlhjb.defect", "numpy.polynomial", "csv")),
         ],
-        ids=["import", "ml", "verify", "cost"],
+        ids=["import", "ml", "verify", "cost", "cost-policy", "solve"],
     )
-    def test_command_loads_only_its_modules(self, argv, absent):
+    def test_command_loads_only_its_modules(self, argv, absent, tmp_path):
+        (tmp_path / "policy.csv").write_text("t,x,u\n0,-1,0.5\n0,1,0.5\n0.001,-1,0.5\n0.001,1,0.5\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         script = (
             "import sys\n"
             "from mlhjb import cli\n"

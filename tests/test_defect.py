@@ -1,6 +1,7 @@
 """Semigroup-defect quadrature against series-identity and dense-grid oracles."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -162,17 +163,39 @@ class TestDeltaMl:
         assert delta_ml(DiscountSpec(alpha, lam), t, s) == pytest.approx(DELTA_SMALL_S[key], rel=2e-5)
 
     def test_one_special_function_call_per_integral(self, monkeypatch):
-        # the outer integral's ml_two and the inner one's kernel_deriv each run once, over both halves;
-        # the outer one depends on t alone, so a second s at the same t reuses it
-        defect._outer_nodes.cache_clear()
+        # the outer integral's ml_two runs once per call, since it depends on t alone, and the
+        # inner one's kernel_deriv once per nonzero s; each covers both halves of its interval
         calls = []
         for name in ("ml_two", "kernel_deriv"):
             fn = getattr(defect, name)
             monkeypatch.setattr(defect, name, lambda *args, _fn=fn, _name=name: calls.append(_name) or _fn(*args))
-        assert delta_ml(SPEC_HALF, 1.0, 0.5) == pytest.approx(DELTA_1_05, abs=2e-9)
-        assert sorted(calls) == ["kernel_deriv", "ml_two"]
-        delta_ml(SPEC_HALF, 1.0, 0.25)
+        got = delta_ml(SPEC_HALF, 1.0, np.array([0.5, 0.0, 0.25]))
+        assert got[0] == pytest.approx(DELTA_1_05, abs=2e-9)
         assert sorted(calls) == ["kernel_deriv", "kernel_deriv", "ml_two"]
+
+    def test_array_s_matches_scalar_calls(self):
+        svals = [0.5, 0.0, 1e-30, 0.25, 1.0, 3.0]
+        for spec, t, panels in ((SPEC_HALF, 1.0, 8), (DiscountSpec(0.3, 1.0), 5.0, 4), (DiscountSpec(0.8, -1.0), 0.5, 16)):
+            got = delta_ml(spec, t, np.array(svals), panels)
+            assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (len(svals),)
+            want = [delta_ml(spec, t, s, panels) for s in svals]
+            assert all(isinstance(v, float) for v in want)
+            assert got.tobytes() == np.array(want).tobytes()
+        # every s vanishes where the kernel is an exact semigroup
+        assert delta_ml(DiscountSpec(1.0, -1.0), 1.0, np.array([0.5, 1.0])).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "s, message",
+        [
+            (np.array([[0.5, 1.0]]), "s must be a scalar or a 1-D array, got shape (1, 2)"),
+            (np.array([0.5, -1.0]), "s must be non-negative and finite, got -1.0"),
+            (np.array([0.0, np.inf, np.nan]), "s must be non-negative and finite, got inf"),
+        ],
+        ids=["2-d", "negative-element", "infinite-element"],
+    )
+    def test_bad_array_s(self, s, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            delta_ml(SPEC_HALF, 1.0, s)
 
 
 class TestSemigroupResidual:
