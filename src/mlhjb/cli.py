@@ -229,12 +229,12 @@ def _cmd_verify(args) -> int:
         raise DomainError(f"--tol must be a non-negative number, got {args.tol!r}")
     rows = []
     worst = 0.0
-    # one kernel call over t, every s and every t + s, and one delta_ml call over
-    # every s; each value equals its scalar call
+    # one delta_ml call over every s, which checks t and s by name first, and one
+    # kernel call over t, every s and every t + s; each value equals its scalar call
+    deltas = delta_ml(spec, args.t, np.array(args.s), args.panels).tolist()
     n = len(args.s)
     kern = kernel(spec, np.array([args.t, *args.s, *(args.t + s for s in args.s)])).tolist()
     kt = kern[0]
-    deltas = delta_ml(spec, args.t, np.array(args.s), args.panels).tolist()
     for s, ks, kts, delta in zip(args.s, kern[1 : n + 1], kern[n + 1 :], deltas):
         resid = kt * ks - delta - kts
         worst = max(worst, abs(resid))

@@ -3,8 +3,8 @@
 Provides the L1 finite-difference approximation of order-mu derivatives over
 a trailing window of uniformly spaced samples, given as a (n, ...) array with
 the oldest sample first, its Riemann-Liouville variant with the window start
-as lower terminal (which also reads a ring buffer in place), and the
-amplitude A(a) = (1-a)^(a-1) / a^a that weights the nonlocal discount term.
+as lower terminal, and the amplitude A(a) = (1-a)^(a-1) / a^a that weights
+the nonlocal discount term.
 """
 
 from __future__ import annotations
@@ -49,23 +49,8 @@ def _l1_weights(n: int, mu: float, dt: float) -> np.ndarray:
     return ((k + 1.0) ** (1.0 - mu) - k ** (1.0 - mu)) * dt ** (-mu) / math.gamma(2.0 - mu)
 
 
-def _diffs(values: np.ndarray, start: int) -> np.ndarray:
-    """g_1 - g_0, ..., g_{n-1} - g_{n-2} of the n samples values[start], values[start + 1], ... read cyclically.
-
-    A new C-ordered (n - 1, ...) array, as np.diff of the samples in order
-    would give, built without a copy of the samples.
-    """
-    head = values.shape[0] - 1 - start  # differences that do not wrap past the last row: all at start 0
-    out = np.empty((values.shape[0] - 1,) + values.shape[1:])
-    np.subtract(values[start + 1 :], values[start:-1], out=out[:head])
-    if start:
-        np.subtract(values[:1], values[-1:], out=out[head : head + 1])
-        np.subtract(values[1:start], values[: start - 1], out=out[head + 1 :])
-    return out
-
-
-def _l1_sum(values: np.ndarray, dt: float, mu: float, start: int = 0):
-    diffs = _diffs(values, start)             # g_1 - g_0, ..., g_N - g_{N-1}
+def _l1_sum(values: np.ndarray, dt: float, mu: float):
+    diffs = np.diff(values, axis=0)           # g_1 - g_0, ..., g_N - g_{N-1}
     b = _l1_weights(diffs.shape[0], mu, dt)   # weight b_k pairs with g_{N-k} - g_{N-k-1}
     return np.tensordot(b[::-1], diffs, axes=(0, 0))
 
@@ -95,24 +80,18 @@ def l1_frac_deriv(values, dt: float, order: FracOrder):
     return _l1_sum(values, dt, order.mu)
 
 
-def rl_window_deriv(values, dt: float, order: FracOrder, start: int = 0):
+def rl_window_deriv(values, dt: float, order: FracOrder):
     """Riemann-Liouville-type order-mu derivative with the window start as lower terminal.
 
-    Equals the Caputo L1 sum plus the lower-terminal contribution
+    ``values`` holds samples spaced ``dt`` apart along its first axis, oldest
+    first.  Equals the Caputo L1 sum plus the lower-terminal contribution
     g(a) (t-a)^(-mu) / Gamma(1-mu), where a is the oldest sample's time and
     t - a = (n-1) dt for n samples.  Reduces to the identity at mu = 0.
-
-    The samples are read cyclically from row ``start`` of ``values``, which
-    holds the oldest: values[start], ..., values[-1], values[0], ...,
-    values[start - 1].  A ring buffer is thus read in place; with the
-    default 0 the rows are in time order.
     """
     values = _samples(values, dt, order)
-    if not (isinstance(start, (int, np.integer)) and 0 <= start < values.shape[0]):
-        raise DomainError(f"start must be a row index of the {values.shape[0]} samples, got {start!r}")
     mu = order.mu
     if mu == 0.0:
-        return values[start - 1]
+        return values[-1]
     span = (values.shape[0] - 1) * dt
-    terminal = values[start] * span ** (-mu) / math.gamma(1.0 - mu)
-    return _l1_sum(values, dt, mu, start) + terminal
+    terminal = values[0] * span ** (-mu) / math.gamma(1.0 - mu)
+    return _l1_sum(values, dt, mu) + terminal

@@ -26,12 +26,12 @@ multiply-add and an argmin, written into buffers allocated once per solve;
 the residual pass likewise evaluates L and f once and reuses one
 Hamiltonian buffer.
 
-The march keeps the last window + 1 slices in a ring, each once, and copies
-out only the time slices the caller asks for and their decisions; the
-residual of a kept slice is computed from the ring in place as soon as its
-window is complete.
-Memory then grows with the grid and the number of kept slices, not with
-the horizon.
+The march keeps the last window + 2 slices in a ring, each held twice, so
+that the window of every residual row is one contiguous, time-ordered view
+of the ring.  It copies out only the time slices the caller asks for and
+their decisions; the residual of a kept slice is computed from that view as
+soon as its window is complete.  Memory then grows with the grid and the
+number of kept slices, not with the horizon.
 
 A solved Policy carries its own time and state grid; the forward rollout
 looks its control up at the nearest (t, x) node, lowest index on ties.
@@ -176,7 +176,12 @@ class ValueField:
     residual: np.ndarray | None = None
 
     def at(self, x, time_index: int = 0) -> float:
-        """Multilinear interpolation of the slice at ``time_index``, at ``x`` of one finite coordinate per axis."""
+        """Multilinear interpolation of the slice at ``time_index``, at ``x`` of one finite coordinate per axis.
+
+        ``time_index`` is an integer in [0, len(times)): the k-th kept slice.
+        """
+        if not (isinstance(time_index, (int, np.integer)) and 0 <= time_index < len(self.times)):
+            raise DomainError(f"time_index must be an integer in [0, {len(self.times)}), got {time_index!r}")
         stencil = _stencil(self.axes, _coords(x, len(self.axes))[None, :], "clamp_gradient")
         return float(_apply_stencil(stencil, self.values[time_index], np.empty(1), np.empty(1))[0])
 
@@ -203,8 +208,9 @@ def _nearest(nodes: list, v: float) -> int:
 class Policy:
     """Feedback law tabulated on a (time, state grid).
 
-    ``controls`` holds indices into ``control_grid`` with shape
-    (len(times), len(axes[0]), ...); ``times`` and each axis are ascending.
+    ``controls`` holds integer indices into ``control_grid`` with shape
+    (len(times), len(axes[0]), ...); ``times`` and each axis are non-empty,
+    1-D, finite and strictly increasing.
     """
 
     controls: np.ndarray
@@ -213,10 +219,18 @@ class Policy:
     axes: tuple
 
     def __post_init__(self) -> None:
-        grid = (len(self.times), *(len(ax) for ax in self.axes))
-        if np.shape(self.controls) != grid:
-            raise DomainError(f"policy controls of shape {np.shape(self.controls)} do not match the grid {grid}")
-        object.__setattr__(self, "_nodes", [[float(v) for v in ax] for ax in (self.times, *self.axes)])
+        nodes = [_float_array(ax) for ax in (self.times, *self.axes)]
+        for ax in nodes:
+            if not (ax.ndim == 1 and ax.size and np.all(np.isfinite(ax)) and np.all(ax[1:] > ax[:-1])):
+                raise DomainError(f"policy times and axes must be non-empty, 1-D, finite and strictly increasing, got {ax!r}")
+        grid = tuple(len(ax) for ax in nodes)
+        controls = np.asarray(self.controls)
+        if controls.shape != grid:
+            raise DomainError(f"policy controls of shape {controls.shape} do not match the grid {grid}")
+        count = len(self.control_grid)
+        if not (np.issubdtype(controls.dtype, np.integer) and controls.min() >= 0 and controls.max() < count):
+            raise DomainError(f"policy controls must be integer indices in [0, {count})")
+        object.__setattr__(self, "_nodes", [ax.tolist() for ax in nodes])
 
     def control(self, x, t: float) -> np.ndarray:
         """Control of the node nearest to finite (t, x) per axis, lowest index on ties."""
@@ -307,20 +321,19 @@ def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, 
     """Function writing the PDE residual -lam A(a) D^(1-a) V - V_t - min H of one slice.
 
     ``L`` and ``F`` are the running cost and velocity from _batched_LF.
-    ``row(ring, start, after, out)`` takes the window + 1 slices from
-    t - window dt to t in ``ring``, read cyclically from the oldest at row
-    ``start``, and the slice at t + dt in ``after``.  The order-(1-a)
-    derivative is the windowed L1 form over the trailing cfg.window
-    intervals up to t.
+    ``row(samples, out)`` takes the window + 2 slices from t - window dt to
+    t + dt in ``samples``, oldest first.  The order-(1-a) derivative is the
+    windowed L1 form over the trailing cfg.window intervals up to t, and
+    dV/dt the forward difference to t + dt.
     """
     amp = amplitude(spec.alpha)
     order = FracOrder(1.0 - spec.alpha)
     h = np.empty(L.shape)
     tmp = np.empty_like(h)
 
-    def row(ring: np.ndarray, start: int, after: np.ndarray, out: np.ndarray) -> None:
-        frac = rl_window_deriv(ring, cfg.dt, order, start)
-        now = ring[start - 1]
+    def row(samples: np.ndarray, out: np.ndarray) -> None:
+        frac = rl_window_deriv(samples[:-1], cfg.dt, order)
+        now, after = samples[-2], samples[-1]
         v_t = (after - now) / cfg.dt
         grads = np.gradient(now, *axes) if len(axes) > 1 else [np.gradient(now, axes[0])]
         # h = L + p . f over the grid controls, summed left to right
@@ -340,13 +353,14 @@ def _march(
 
     The Policy row of kept step k is the decision at step min(k, nt - 1):
     the terminal step has none of its own and takes the last one.  The last
-    R = window + 1 slices (2 when no residual row has a full window) live in
-    a ring, slice i at i mod R, and each step writes its slice straight into
-    the ring: the chosen candidates, read by flat index (row offset plus
-    argmin).  With ``residual`` the residual of each kept step
+    R = window + 2 slices (2 when no residual row has a full window) live in
+    a ring of 2R rows.  Each step writes its slice straight into row
+    k = i mod R of the ring (the chosen candidates, read by flat index: row
+    offset plus argmin) and copies it to row k + R, so that rows k .. k + R - 1
+    hold slices i .. i + R - 1 in time order; step i reads slice i + 1 at
+    row k + 1, with no wrap.  With ``residual`` the residual of each kept step
     window <= r < nt is computed as soon as slice r - window exists, from
-    the ring in place and slice r + 1, saved just before slice r - window
-    replaces it; other rows are NaN.
+    the view of slices r - window .. r + 1; other rows are NaN.
     """
     nt = cfg.steps
     kept = _kept(slices, nt)
@@ -358,15 +372,14 @@ def _march(
     shape = states.shape[:-1]
     times = np.arange(nt + 1) * cfg.dt
     disc = float(kernel(spec, cfg.dt))
-    ring_len = cfg.window + 1 if residual and cfg.window < nt else 2
-    ring = np.empty((ring_len,) + shape)
+    ring_len = cfg.window + 2 if residual and cfg.window < nt else 2
+    ring = np.empty((2 * ring_len,) + shape)
     values = np.empty((len(kept),) + shape)
     policy = np.zeros((len(decided),) + shape, dtype=np.int32)
     res = np.full_like(values, np.nan) if residual else None
     # one (grid, controls) batch serves the step and the residual
     L, F = _batched_LF(prob, states)
     row = _residual_rows(prob, spec, cfg, axes, L, F) if residual else None
-    after = np.empty(shape) if residual else None
     l_dt = L * cfg.dt
     stencil = _stencil(axes, states[..., None, :] + F * cfg.dt, prob.boundary)
     cand = np.empty(shape + (len(prob.controls),))
@@ -376,16 +389,12 @@ def _march(
     pick = np.empty(shape, dtype=np.intp)
     for i in range(nt, -1, -1):
         k = i % ring_len
-        r = i + cfg.window
-        due = row is not None and r < nt and r in where
-        if due:
-            np.copyto(after, ring[k])  # slice r + 1, which slice i replaces
         slice_i = ring[k]
         if i == nt:
             slice_i.fill(0.0)
         else:
             # cand = L dt + disc * V(feet), rounded as that expression would be
-            _apply_stencil(stencil, ring[(i + 1) % ring_len], cand, tmp)
+            _apply_stencil(stencil, ring[k + 1], cand, tmp)
             np.multiply(cand, disc, out=cand)
             np.add(l_dt, cand, out=cand)
             best = np.argmin(cand, axis=-1)
@@ -394,11 +403,12 @@ def _march(
                 raise DivergenceError(f"value field diverged at t = {times[i]:g}")
             if i in decision:
                 policy[decision[i]] = best
+        ring[k + ring_len] = slice_i
         if i in where:
             values[where[i]] = slice_i
-        if due:
-            # slices i .. i + window from row k of the ring, and slice i + window + 1
-            row(ring, k, after, res[where[r]])
+        r = i + cfg.window
+        if row is not None and r < nt and r in where:
+            row(ring[k : k + ring_len], res[where[r]])
     return (
         ValueField(times=times[kept], axes=axes, values=values, residual=res),
         Policy(controls=policy, control_grid=prob.controls, times=times[decided], axes=axes),
@@ -427,7 +437,7 @@ def solve_fractional(
     order, so ``time_index`` counts kept slices.  The Policy holds the
     decision of each kept step k at step min(k, cfg.steps - 1), once each:
     the terminal step has no decision and takes the last one.  The march
-    then holds window + 2 slices besides the kept ones, and the residual is
+    then holds 2 (window + 2) slices besides the kept ones, and the residual is
     computed only on kept rows; each kept number has the same bits as in the
     full solve.  Any window >= 1 is allowed: a short one makes the residual
     cruder, not the values.  The residual's order 1 - alpha must round below

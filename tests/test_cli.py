@@ -198,6 +198,19 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--s", "0.5,-1"], "s must be non-negative and finite, got -1.0"),
+            (["--s", "nan"], "s must be non-negative and finite, got nan"),
+            (["--t", "-1"], "t must be positive and finite, got -1.0"),
+            (["--t", "nan"], "t must be positive and finite, got nan"),
+        ],
+        ids=["neg-s", "nan-s", "neg-t", "nan-t"],
+    )
+    def test_bad_t_or_s_is_named(self, argv, message, capsys):
+        assert run(["verify", "--alpha", "0.5", *argv], capsys) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "argv, digest",
         [
             (["--alpha", "0.5"], "4c76748fa21ed82fa45d91ed6a7da33107cd9fcb5b7c0651202cec81c4f855a3"),

@@ -123,20 +123,3 @@ class TestRlWindowDeriv:
     def test_identity_order(self):
         vals = _samples_of(lambda t: t * t, 0.1, 0.5)
         assert float(rl_window_deriv(vals, 0.1, FracOrder(0.0))) == 0.25
-
-    @pytest.mark.parametrize("mu", [0.0, 0.3])
-    def test_ring_read_in_place_equals_rolled_copy(self, mu):
-        # every oldest-row index of a ring gives the bits of the samples rolled into time order,
-        # for scalar samples as for grid slices
-        rng = np.random.default_rng(3)
-        for ring in (rng.standard_normal((7, 5, 4)), rng.standard_normal(7)):
-            for start in range(len(ring)):
-                got = rl_window_deriv(ring, 0.05, FracOrder(mu), start)
-                want = rl_window_deriv(np.roll(ring, -start, axis=0), 0.05, FracOrder(mu))
-                assert np.array_equal(got, want)
-
-    @pytest.mark.parametrize("start", [-1, 3, 1.0])
-    def test_start_outside_the_rows(self, start):
-        with pytest.raises(DomainError, match="start must be"):
-            rl_window_deriv([0.0, 1.0, 2.0], 0.1, FracOrder(0.5), start)
-

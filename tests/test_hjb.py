@@ -350,6 +350,22 @@ class TestStreaming:
         assert np.array_equal(sub_pol.times, fld.times[[0, cfg.window, nt - 1]])
         assert np.array_equal(sub_pol.controls, pol.controls[[0, cfg.window, nt - 1]])
 
+    @pytest.mark.parametrize("window", [1, 24, 25])
+    @pytest.mark.parametrize("name", ["lq1d", "osc2d"])
+    def test_ring_edge_windows_equal_unstreamed(self, name, window):
+        # of CFG's 25 steps: window 1 gives the shortest ring, 24 the longest that still has a
+        # residual row (the ring spans the horizon), and at 25 the ring falls back to 2 slices
+        prob = catalog.get(name).problem
+        cfg = dataclasses.replace(self.CFG, nx=9 if prob.dim_x == 2 else self.CFG.nx, window=window)
+        assert cfg.steps == 25
+        spec = DiscountSpec(0.8, -0.5)
+        fld, pol = solve_fractional(prob, spec, cfg)
+        values, policy, res = _unstreamed(prob, spec, cfg)
+        assert np.array_equal(fld.values, values)
+        assert np.array_equal(pol.controls, policy)
+        assert np.array_equal(fld.residual, res, equal_nan=True)
+        assert np.isnan(res[:window]).all() and np.isnan(res[-1]).all() and np.isfinite(res[window:-1]).all()
+
     @pytest.mark.parametrize("slices", [[], [3, 2], [2, 2], [-1, 3], [25, 26]])
     def test_bad_slices(self, slices):
         with pytest.raises(DomainError, match="slices must"):
@@ -606,6 +622,33 @@ class TestPolicy:
             Policy(controls=np.zeros((2, 4), dtype=int), control_grid=self.GRID, times=np.array([0.0, 0.5]), axes=(np.array([-1.0, 0.0, 1.0]),))
 
     @pytest.mark.parametrize(
+        "times, axis",
+        [
+            ([0.0, 0.5], [1.0, 0.0, -1.0]),
+            ([0.0, 0.5], [-1.0, 0.0, 0.0]),
+            ([0.5, 0.0], [-1.0, 0.0, 1.0]),
+            ([0.0, math.nan], [-1.0, 0.0, 1.0]),
+            ([0.0, 0.5], [-1.0, 0.0, math.inf]),
+            ([[0.0], [0.5]], [-1.0, 0.0, 1.0]),
+        ],
+        ids=["descending-x", "repeated-x", "descending-t", "nan-t", "inf-x", "2-D-t"],
+    )
+    def test_nodes_must_increase(self, times, axis):
+        # a descending axis would look (1.0,) up at the node x = 0
+        with pytest.raises(DomainError, match="strictly increasing"):
+            Policy(controls=np.array([[0, 1, 2], [2, 1, 0]]), control_grid=self.GRID, times=np.array(times), axes=(np.array(axis),))
+
+    @pytest.mark.parametrize(
+        "controls",
+        [[[0, 1, -1], [2, 1, 0]], [[0, 1, 3], [2, 1, 0]], [[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]], [[True] * 3, [False] * 3]],
+        ids=["negative", "past-the-grid", "float", "bool"],
+    )
+    def test_controls_must_index_the_grid(self, controls):
+        # -1 would wrap to the last control, 3 raise numpy's IndexError at lookup
+        with pytest.raises(DomainError, match=r"integer indices in \[0, 3\)"):
+            Policy(controls=np.array(controls), control_grid=self.GRID, times=np.array([0.0, 0.5]), axes=(np.array([-1.0, 0.0, 1.0]),))
+
+    @pytest.mark.parametrize(
         "x, t, message",
         [
             ([0.5, 99.0], 0.1, "x must have one"),
@@ -632,6 +675,14 @@ class TestValueField:
         assert self.FIELD.at(np.array([-0.5]), 0) == 0.5
         assert self.FIELD.at(0.75) == 0.75
         assert self.FIELD.at([99.0]) == 1.0  # outside the box: the clamped boundary value
+
+    @pytest.mark.parametrize("k", [3, -1, 1.0, None], ids=["past", "negative", "float", "none"])
+    def test_time_index_off_the_kept_slices_raises(self, k):
+        # three kept slices: -1 would read the last one, 3 and 1.0 raise numpy's IndexError
+        field = hjb.ValueField(times=np.array([0.0, 0.1, 0.2]), axes=self.FIELD.axes, values=np.repeat(self.FIELD.values, 3, axis=0))
+        assert field.at([0.25], 2) == 0.25
+        with pytest.raises(DomainError, match=r"time_index must be an integer in \[0, 3\)"):
+            field.at([0.25], k)
 
     @pytest.mark.parametrize("x", [[0.5, 99.0], [], [math.nan], [math.inf], [[0.5]]], ids=["extra", "none", "nan", "inf", "nested"])
     def test_lookup_off_its_domain_raises(self, x):
