@@ -21,10 +21,12 @@ control shape (..., dim_u)).
 The march step is built once per solve, then applied at every step.
 Building evaluates L and f on the (grid nodes, controls) batch and turns
 the feet x + f dt into an interpolation stencil: base node indices and the
-weights (1 - f), f per axis.  Applying it to a value slice is a gather, a
-multiply-add and an argmin, written into buffers allocated once per solve;
-the residual pass likewise evaluates L and f once and reuses one
-Hamiltonian buffer.
+weights (1 - f), f per axis.  Step i's discount d_i and running-cost weight
+c_i come from step_weights, the one place they are formed; the tests that
+rebuild the step read them there too.  Applying the step to a value slice
+is a gather, a multiply-add and an argmin, written into buffers allocated
+once per solve; the residual pass likewise evaluates L and f once and
+reuses one Hamiltonian buffer.
 
 The march keeps the last window + 2 slices in a ring, each held twice, so
 that the window of every residual row is one contiguous, time-ordered view
@@ -73,6 +75,16 @@ _DIVERGENCE_LIMIT = 1e12
 _ESCAPE_INFLATION = 1.5
 # numpy caps an array at sys.maxsize bytes: no float64 array holds a value per time node or axis node past this
 _MAX_VALUES = sys.maxsize // 8
+
+
+def _whole(v) -> int | None:
+    """``v`` as a Python int if it is an integer other than a bool, else None."""
+    if isinstance(v, bool):
+        return None
+    try:
+        return operator.index(v)
+    except TypeError:
+        return None
 
 
 def _float_array(seq) -> np.ndarray:
@@ -129,7 +141,11 @@ class ControlProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time step, horizon truncation, grid resolution, and memory window."""
+    """Time step, horizon truncation, grid resolution, and memory window.
+
+    ``nx`` and ``window`` take any integer but a bool, and are stored as
+    Python ints; no field takes a bool.
+    """
 
     dt: float
     horizon: float
@@ -137,10 +153,10 @@ class SolverConfig:
     window: int = 64
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.dt, (int, float)) and math.isfinite(self.dt) and self.dt > 0.0):
-            raise DomainError(f"dt must be positive and finite, got {self.dt!r}")
-        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise DomainError(f"horizon must be positive and finite, got {self.horizon!r}")
+        for name in ("dt", "horizon"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
+                raise DomainError(f"{name} must be positive and finite, got {v!r}")
         steps = self.horizon / self.dt
         if not steps < _MAX_VALUES:
             raise DomainError(f"horizon must be fewer than {_MAX_VALUES} dt steps, got {self.horizon!r} at dt {self.dt!r}")
@@ -148,12 +164,15 @@ class SolverConfig:
             raise DomainError("horizon must be an integer number of dt steps")
         if round(steps) < 1:
             raise DomainError(f"horizon must be at least one dt step, got {self.horizon!r} at dt {self.dt!r}")
-        if not (isinstance(self.nx, int) and self.nx >= 8):
+        nx, window = _whole(self.nx), _whole(self.window)
+        if nx is None or nx < 8:
             raise DomainError(f"nx must be an integer >= 8, got {self.nx!r}")
-        if self.nx >= _MAX_VALUES:
+        if nx >= _MAX_VALUES:
             raise DomainError(f"nx must be below {_MAX_VALUES}, got {self.nx!r}")
-        if not (isinstance(self.window, int) and self.window >= 1):
+        if window is None or window < 1:
             raise DomainError(f"window must be a positive integer, got {self.window!r}")
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "window", window)
 
     @property
     def steps(self) -> int:
@@ -179,11 +198,13 @@ class ValueField:
         """Multilinear interpolation of the slice at ``time_index``, at ``x`` of one finite coordinate per axis.
 
         ``time_index`` is an integer in [0, len(times)): the k-th kept slice.
+        A bool is not one: numpy would read it as a mask.
         """
-        if not (isinstance(time_index, (int, np.integer)) and 0 <= time_index < len(self.times)):
+        k = _whole(time_index)
+        if k is None or not 0 <= k < len(self.times):
             raise DomainError(f"time_index must be an integer in [0, {len(self.times)}), got {time_index!r}")
         stencil = _stencil(self.axes, _coords(x, len(self.axes))[None, :], "clamp_gradient")
-        return float(_apply_stencil(stencil, self.values[time_index], np.empty(1), np.empty(1))[0])
+        return float(_apply_stencil(stencil, self.values[k], np.empty(1), np.empty(1))[0])
 
 
 def _coords(x, dim: int) -> np.ndarray:
@@ -346,13 +367,24 @@ def _residual_rows(prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, 
     return row
 
 
+def step_weights(spec: DiscountSpec, dt: float, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discount d and running-cost weight c of each of a march's ``nt`` steps.
+
+    Step i sets V_i = min_u [c_i L + d_i V_{i+1}(feet)].  Every step takes
+    the one-step kernel E_a(lam dt^a) as its discount and dt as its weight.
+    """
+    return np.full(nt, float(kernel(spec, dt))), np.full(nt, float(dt))
+
+
 def _march(
     prob: ControlProblem, spec: DiscountSpec, cfg: SolverConfig, *, slices=None, residual: bool = False
 ) -> tuple[ValueField, Policy]:
     """March backward from the zero terminal slice, keeping only the ``slices`` steps.
 
-    The Policy row of kept step k is the decision at step min(k, nt - 1):
-    the terminal step has none of its own and takes the last one.  The last
+    Step i weighs its candidates with step_weights' d_i and c_i; c_i L is
+    formed again only when c_i differs from the step before.  The Policy
+    row of kept step k is the decision at step min(k, nt - 1): the terminal
+    step has none of its own and takes the last one.  The last
     R = window + 2 slices (2 when no residual row has a full window) live in
     a ring of 2R rows.  Each step writes its slice straight into row
     k = i mod R of the ring (the chosen candidates, read by flat index: row
@@ -371,7 +403,7 @@ def _march(
     states = _grid_states(axes)
     shape = states.shape[:-1]
     times = np.arange(nt + 1) * cfg.dt
-    disc = float(kernel(spec, cfg.dt))
+    discs, weights = step_weights(spec, cfg.dt, nt)
     ring_len = cfg.window + 2 if residual and cfg.window < nt else 2
     ring = np.empty((2 * ring_len,) + shape)
     values = np.empty((len(kept),) + shape)
@@ -380,10 +412,11 @@ def _march(
     # one (grid, controls) batch serves the step and the residual
     L, F = _batched_LF(prob, states)
     row = _residual_rows(prob, spec, cfg, axes, L, F) if residual else None
-    l_dt = L * cfg.dt
     stencil = _stencil(axes, states[..., None, :] + F * cfg.dt, prob.boundary)
     cand = np.empty(shape + (len(prob.controls),))
     tmp = np.empty_like(cand)
+    # c_i L, and the weight c it was formed with
+    l_c, c = np.empty_like(cand), math.nan
     # flat index of each node's first candidate, and of its chosen one
     offsets = np.arange(0, cand.size, cand.shape[-1]).reshape(shape)
     pick = np.empty(shape, dtype=np.intp)
@@ -393,10 +426,13 @@ def _march(
         if i == nt:
             slice_i.fill(0.0)
         else:
-            # cand = L dt + disc * V(feet), rounded as that expression would be
+            if weights[i] != c:
+                c = weights[i]
+                np.multiply(L, c, out=l_c)
+            # cand = c_i L + d_i * V(feet), rounded as that expression would be
             _apply_stencil(stencil, ring[k + 1], cand, tmp)
-            np.multiply(cand, disc, out=cand)
-            np.add(l_dt, cand, out=cand)
+            np.multiply(cand, discs[i], out=cand)
+            np.add(l_c, cand, out=cand)
             best = np.argmin(cand, axis=-1)
             np.take(cand, np.add(offsets, best, out=pick), out=slice_i)
             if not np.abs(slice_i).max() <= _DIVERGENCE_LIMIT:  # NaN fails too
@@ -427,6 +463,7 @@ def solve_fractional(
 ) -> tuple[ValueField, Policy]:
     """Backward value iteration discounted by E_a(lam dt^a) per step.
 
+    Each step's discount and running-cost weight come from step_weights.
     At alpha = 1 the update is exactly the classical one (E_1 = exp).  The
     returned ValueField carries the PDE residual diagnostic over the trailing
     L1 window.

@@ -37,6 +37,7 @@ from mlhjb import (
     solve_classical,
     solve_fractional,
 )
+from mlhjb import hjb
 
 
 def _rel(err, ref):
@@ -221,12 +222,12 @@ def _criterion_8():
         x = fld.axes[0]
         xc = 0.5 * (x[:-1] + x[1:])
         u = entry.problem.controls[:, 0]
-        disc = float(kernel(spec, dt))
         nt = cfg.steps
+        discs, weights = hjb.step_weights(spec, dt, nt)
         worst = 0.0
         for i in range(nt // 4, 3 * nt // 4):
             feet = xc[:, None] + u[None, :] * dt
-            cand = 0.5 * (xc[:, None] ** 2 + u[None, :] ** 2) * dt + disc * np.interp(feet, x, fld.values[i + 1])
+            cand = 0.5 * (xc[:, None] ** 2 + u[None, :] ** 2) * weights[i] + discs[i] * np.interp(feet, x, fld.values[i + 1])
             resid = np.interp(xc, x, fld.values[i]) - cand.min(axis=1)
             worst = max(worst, float(np.abs(resid[2:-2]).max()))
         return worst

@@ -378,6 +378,15 @@ class TestSolve:
                 ),
             ),
             (
+                # alpha = 1: the later --alpha wins
+                ["--problem", "lq1d", *FAST_SOLVE, "--alpha", "1"],
+                (
+                    "99cf10b2b8fe091d60bffd8de3361e31e0d23ef984d70061439f6ff2e2fd1aec",
+                    "4bbe3cc774465c31c072ce3d7bb73e04c5a63bcca87705b0fbbc39a66be28782",
+                    "76b39c47717f8ed5c44ac158c8019b38b79ff38c4fa28d9b495d4ab1665ea96b",
+                ),
+            ),
+            (
                 # extrapolate_linear boundary
                 ["--problem", "bounded1d", "--dt", "0.02", "--horizon", "0.5", "--nx", "17", "--window", "8",
                  "--alpha", "0.8"],
@@ -397,7 +406,7 @@ class TestSolve:
                 ),
             ),
         ],
-        ids=["lq1d", "osc2d-stride", "bounded1d", "zero1d"],
+        ids=["lq1d", "osc2d-stride", "lq1d-alpha1", "bounded1d", "zero1d"],
     )
     def test_golden_bytes(self, argv, digests, capsys, tmp_path):
         assert run(["solve", *argv, "--out", str(tmp_path)], capsys)[0] == 0

@@ -94,6 +94,28 @@ class TestProblemTypes:
             SolverConfig(dt=1.0, horizon=1.0, nx=limit)
         assert SolverConfig(dt=1.0, horizon=1e18, nx=limit - 1).steps == 10**18
 
+    def test_solver_config_integers(self):
+        # any integer but a bool counts, stored as a Python int; True is not 1 in any field
+        cfg = SolverConfig(dt=0.1, horizon=1.0, nx=np.int64(65), window=np.int64(8))
+        assert (cfg.nx, cfg.window) == (65, 8) and type(cfg.nx) is type(cfg.window) is int
+        good = dict(dt=0.1, horizon=1.0, nx=65, window=8)
+        for field in good:
+            with pytest.raises(DomainError, match=f"^{field} must be"):
+                SolverConfig(**{**good, field: True})
+        with pytest.raises(DomainError, match="nx must be an integer >= 8, got np.int64"):
+            SolverConfig(dt=0.1, horizon=1.0, nx=np.int64(7))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.8, 1.0])
+    def test_step_weights(self, alpha):
+        # every step takes the one-step kernel as its discount and dt as its running-cost weight
+        for lam in (-4.0, -0.5, 0.0):
+            spec = DiscountSpec(alpha, lam)
+            d, c = hjb.step_weights(spec, 0.05, 7)
+            assert d.shape == c.shape == (7,)
+            assert np.all(d == float(kernel(spec, 0.05))) and np.all(c == 0.05)
+            if alpha == 1.0:
+                assert np.all(d == np.exp(lam * 0.05))
+
     @pytest.mark.parametrize("alpha, lam, dt", [(1.0, -200.0, 0.01), (0.5, -4.0, 0.25), (0.8, -0.5, 0.01)])
     def test_static_march_matches_its_closed_form(self, alpha, lam, dt):
         # L = 1 and no motion: V(x, 0) = dt (1 - d^n) / (1 - d) with d = kernel(spec, dt), at any dt;
@@ -291,16 +313,15 @@ def _unstreamed(prob, spec, cfg):
     axes = tuple(np.linspace(lo, hi, cfg.nx) for lo, hi in prob.box)
     states = hjb._grid_states(axes)
     shape = states.shape[:-1]
-    disc = float(kernel(spec, dt))
+    discs, weights = hjb.step_weights(spec, dt, nt)
     values = np.zeros((nt + 1,) + shape)
     policy = np.zeros((nt,) + shape, dtype=np.int32)
     L, F = hjb._batched_LF(prob, states)
-    l_dt = L * dt
     stencil = hjb._stencil(axes, states[..., None, :] + F * dt, prob.boundary)
-    cand, tmp = np.empty(l_dt.shape), np.empty(l_dt.shape)
+    cand, tmp = np.empty(L.shape), np.empty(L.shape)
     for i in range(nt - 1, -1, -1):
         hjb._apply_stencil(stencil, values[i + 1], cand, tmp)
-        cand = l_dt + disc * cand
+        cand = L * weights[i] + discs[i] * cand
         policy[i] = np.argmin(cand, axis=-1)
         values[i] = np.take_along_axis(cand, policy[i][..., None].astype(np.intp), axis=-1)[..., 0]
     res = np.full_like(values, np.nan)
@@ -405,10 +426,10 @@ class TestScalingAndConsistency:
         x = fld.axes[0]
         xc = 0.5 * (x[:-1] + x[1:])
         u = LQ.controls[:, 0]
-        disc = float(kernel(spec, cfg.dt))
+        discs, weights = hjb.step_weights(spec, cfg.dt, cfg.steps)
         i = cfg.steps // 2
         feet = xc[:, None] + u[None, :] * cfg.dt
-        cand = 0.5 * (xc[:, None] ** 2 + u[None, :] ** 2) * cfg.dt + disc * np.interp(feet, x, fld.values[i + 1])
+        cand = 0.5 * (xc[:, None] ** 2 + u[None, :] ** 2) * weights[i] + discs[i] * np.interp(feet, x, fld.values[i + 1])
         rhs = cand.min(axis=1)
         lhs = np.interp(xc, x, fld.values[i])
         assert np.abs(lhs - rhs).max() <= 5.0 * cfg.dt**2
@@ -676,9 +697,10 @@ class TestValueField:
         assert self.FIELD.at(0.75) == 0.75
         assert self.FIELD.at([99.0]) == 1.0  # outside the box: the clamped boundary value
 
-    @pytest.mark.parametrize("k", [3, -1, 1.0, None], ids=["past", "negative", "float", "none"])
+    @pytest.mark.parametrize("k", [3, -1, 1.0, None, True], ids=["past", "negative", "float", "none", "bool"])
     def test_time_index_off_the_kept_slices_raises(self, k):
-        # three kept slices: -1 would read the last one, 3 and 1.0 raise numpy's IndexError
+        # three kept slices: -1 would read the last one, 3 and 1.0 raise numpy's IndexError,
+        # and True would be read as a mask that picks slice 0
         field = hjb.ValueField(times=np.array([0.0, 0.1, 0.2]), axes=self.FIELD.axes, values=np.repeat(self.FIELD.values, 3, axis=0))
         assert field.at([0.25], 2) == 0.25
         with pytest.raises(DomainError, match=r"time_index must be an integer in \[0, 3\)"):

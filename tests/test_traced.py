@@ -59,4 +59,7 @@ def test_tracer_wraps_the_code_that_runs(tmp_path):
     assert got["cost"]["cli.evaluate_cost"]["calls"] == 1
     assert got["cost"]["cli.evaluate_cost"]["count"] == 200
     assert got["solve"]["cli.solve_fractional"]["calls"] == 1
+    # the march's step weights take one scalar kernel evaluation per solve
+    assert got["solve"]["hjb.kernel"]["calls"] == 1
+    assert got["solve"]["hjb.kernel"]["count"] == 1
     assert got["solve"]["hjb.rl_window_deriv"]["calls"] >= 1
