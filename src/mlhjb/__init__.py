@@ -2,7 +2,7 @@
 
 Numerical core: series evaluation of the one- and two-parameter
 Mittag-Leffler functions, quadrature for the kernel's semigroup defect,
-L1 fractional derivatives, and grid solvers for discounted
+one windowed L1 fractional derivative, and grid solvers for discounted
 Hamilton-Jacobi-Bellman problems with either exponential or
 Mittag-Leffler per-step discounting.  The ``mlhjb`` console script fronts
 the same functionality.
@@ -33,7 +33,7 @@ _SOURCES = {
     ),
     **dict.fromkeys(("DiscountSpec", "ml_one", "ml_two", "kernel", "kernel_deriv"), "specfun"),
     "delta_ml": "defect",
-    **dict.fromkeys(("FracOrder", "amplitude", "l1_frac_deriv", "rl_window_deriv"), "fracderiv"),
+    **dict.fromkeys(("FracOrder", "amplitude", "rl_window_deriv"), "fracderiv"),
     **dict.fromkeys(
         (
             "ControlProblem",

@@ -41,7 +41,7 @@ import math
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import DomainError
+from .errors import DomainError, as_real, as_whole
 from .specfun import DiscountSpec, kernel_deriv, ml_two
 
 __all__ = ["delta_ml"]
@@ -121,18 +121,19 @@ def delta_ml(spec: DiscountSpec, t: float, s, panels: int = 8):
     scalar calls; the outer quadrature, which depends on t alone, is built
     once per call and shared by every s.
     """
-    t = float(t)
+    t_arg, t = t, as_real(t)
+    if t is None or not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be positive and finite, got {t_arg!r}")
     s_arr = np.asarray(s, dtype=float)
     svals = s_arr.ravel()
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be positive and finite, got {t!r}")
     if s_arr.ndim > 1:
         raise DomainError(f"s must be a scalar or a 1-D array, got shape {s_arr.shape}")
     bad = ~(np.isfinite(svals) & (svals >= 0.0))
     if bad.any():
         raise DomainError(f"s must be non-negative and finite, got {float(svals[bad][0])!r}")
-    if not (isinstance(panels, int) and panels >= 4):
-        raise DomainError(f"panels must be an integer >= 4, got {panels!r}")
+    panels_arg, panels = panels, as_whole(panels)
+    if panels is None or panels < 4:
+        raise DomainError(f"panels must be an integer >= 4, got {panels_arg!r}")
     out = np.zeros(svals.shape)
     if spec.lam != 0.0 and spec.alpha != 1.0 and svals.any():
         # the outer tau-quadrature: weights with tau^(a-1) E_{a,a}(lam tau^a) folded in, and the

@@ -47,7 +47,6 @@ value slice past 1e12 in magnitude, or NaN, raises DivergenceError.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -55,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, StateEscapeError
+from .errors import DivergenceError, DomainError, StateEscapeError, as_real, as_whole
 from .fracderiv import FracOrder, amplitude, rl_window_deriv
 from .specfun import DiscountSpec, kernel
 
@@ -75,16 +74,6 @@ _DIVERGENCE_LIMIT = 1e12
 _ESCAPE_INFLATION = 1.5
 # numpy caps an array at sys.maxsize bytes: no float64 array holds a value per time node or axis node past this
 _MAX_VALUES = sys.maxsize // 8
-
-
-def _whole(v) -> int | None:
-    """``v`` as a Python int if it is an integer other than a bool, else None."""
-    if isinstance(v, bool):
-        return None
-    try:
-        return operator.index(v)
-    except TypeError:
-        return None
 
 
 def _float_array(seq) -> np.ndarray:
@@ -143,8 +132,9 @@ class ControlProblem:
 class SolverConfig:
     """Time step, horizon truncation, grid resolution, and memory window.
 
-    ``nx`` and ``window`` take any integer but a bool, and are stored as
-    Python ints; no field takes a bool.
+    ``dt`` and ``horizon`` take any real number but a bool, and are stored as
+    Python floats; ``nx`` and ``window`` take any integer but a bool, and are
+    stored as Python ints.
     """
 
     dt: float
@@ -154,9 +144,10 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name in ("dt", "horizon"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {v!r}")
+            v = as_real(getattr(self, name))
+            if v is None or not (math.isfinite(v) and v > 0.0):
+                raise DomainError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, v)
         steps = self.horizon / self.dt
         if not steps < _MAX_VALUES:
             raise DomainError(f"horizon must be fewer than {_MAX_VALUES} dt steps, got {self.horizon!r} at dt {self.dt!r}")
@@ -164,7 +155,7 @@ class SolverConfig:
             raise DomainError("horizon must be an integer number of dt steps")
         if round(steps) < 1:
             raise DomainError(f"horizon must be at least one dt step, got {self.horizon!r} at dt {self.dt!r}")
-        nx, window = _whole(self.nx), _whole(self.window)
+        nx, window = as_whole(self.nx), as_whole(self.window)
         if nx is None or nx < 8:
             raise DomainError(f"nx must be an integer >= 8, got {self.nx!r}")
         if nx >= _MAX_VALUES:
@@ -200,7 +191,7 @@ class ValueField:
         ``time_index`` is an integer in [0, len(times)): the k-th kept slice.
         A bool is not one: numpy would read it as a mask.
         """
-        k = _whole(time_index)
+        k = as_whole(time_index)
         if k is None or not 0 <= k < len(self.times):
             raise DomainError(f"time_index must be an integer in [0, {len(self.times)}), got {time_index!r}")
         stencil = _stencil(self.axes, _coords(x, len(self.axes))[None, :], "clamp_gradient")
@@ -209,7 +200,7 @@ class ValueField:
 
 def _coords(x, dim: int) -> np.ndarray:
     """``x`` as a (dim,) float array of finite coordinates, else DomainError."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(_float_array(x))
     if arr.shape != (dim,) or not np.all(np.isfinite(arr)):
         raise DomainError(f"x must have one finite coordinate per axis ({dim}), got {x!r}")
     return arr
@@ -255,9 +246,10 @@ class Policy:
 
     def control(self, x, t: float) -> np.ndarray:
         """Control of the node nearest to finite (t, x) per axis, lowest index on ties."""
-        if not math.isfinite(t):
+        when = as_real(t)
+        if when is None or not math.isfinite(when):
             raise DomainError(f"t must be finite, got {t!r}")
-        return self._lookup([float(t), *_coords(x, len(self.axes)).tolist()])
+        return self._lookup([when, *_coords(x, len(self.axes)).tolist()])
 
     def _lookup(self, point: list) -> np.ndarray:
         """``control`` without its checks, at the floats [t, *x]."""
@@ -332,8 +324,8 @@ def _kept(slices, nt: int) -> list:
     """The step indices a solve returns: every one by default, else ``slices``."""
     if slices is None:
         return list(range(nt + 1))
-    kept = [operator.index(s) for s in slices]
-    if not kept or kept[0] < 0 or kept[-1] > nt or any(a >= b for a, b in zip(kept, kept[1:])):
+    kept = [as_whole(s) for s in slices]
+    if not kept or None in kept or kept[0] < 0 or kept[-1] > nt or any(a >= b for a, b in zip(kept, kept[1:])):
         raise DomainError(f"slices must be a non-empty increasing list of step indices in [0, {nt}]")
     return kept
 
@@ -507,7 +499,7 @@ def evaluate_cost(prob: ControlProblem, spec: DiscountSpec, law, x0, cfg: Solver
     first stage of the next step, so a rollout of n steps calls it 4n + 1
     times.  The running cost is evaluated once, over the whole trajectory.
     """
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    x = np.atleast_1d(_float_array(x0))
     box = prob.box
     if x.shape != (prob.dim_x,):
         raise DomainError(f"x0 must have one component per state dimension ({prob.dim_x}), got {x.size}")
@@ -566,8 +558,10 @@ def lqr_oracle(a: float, b: float, q: float, r: float, lam: float) -> tuple[floa
     where r ((2a + lam) + sqrt(disc)) / (2 b^2) would cancel.  Raises
     DomainError where the discriminant, P or k is not a finite float.
     """
-    if not all(math.isfinite(v) for v in (a, b, q, r, lam)):
-        raise DomainError(f"a, b, q, r and lam must be finite, got {(a, b, q, r, lam)!r}")
+    reals = [as_real(v) for v in (a, b, q, r, lam)]
+    if None in reals or not all(map(math.isfinite, reals)):
+        raise DomainError(f"a, b, q, r and lam must be finite real numbers, got {(a, b, q, r, lam)!r}")
+    a, b, q, r, lam = reals
     if not (r > 0.0):
         raise DomainError(f"r must be positive, got {r!r}")
     if not (q >= 0.0):

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_real
 
 __all__ = [
     "DiscountSpec",
@@ -101,19 +101,23 @@ class DiscountSpec:
     """Discount description: order ``alpha`` in (0, 1] and rate ``lam``.
 
     ``lam < 0`` discounts future cost, ``lam > 0`` inflates it.  ``alpha = 1``
-    recovers the classical exponential discount.
+    recovers the classical exponential discount.  Both take any real number
+    but a bool, and are stored as Python floats.
     """
 
     alpha: float
     lam: float
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.alpha, (int, float)) and math.isfinite(self.alpha)):
+        alpha, lam = as_real(self.alpha), as_real(self.lam)
+        if alpha is None or not math.isfinite(alpha):
             raise DomainError("alpha must be a finite real number")
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not (isinstance(self.lam, (int, float)) and math.isfinite(self.lam)):
+        if not (0.0 < alpha <= 1.0):
+            raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+        if lam is None or not math.isfinite(lam):
             raise DomainError("lam must be a finite real number")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "lam", lam)
 
 
 def _series_float(alpha: float, beta: float, z: np.ndarray):
@@ -265,28 +269,27 @@ def ml_one(alpha: float, z):
     ``z`` may be a scalar or an array.  ``alpha = 0`` is the geometric series,
     evaluated in closed form as 1/(1 - z) and valid only for ``|z| < 1``.
     """
-    alpha = float(alpha)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise DomainError(f"ml_one requires alpha >= 0, got {alpha}")
-    if alpha == 0.0:
+    a = as_real(alpha)
+    if a is None or not math.isfinite(a) or a < 0.0:
+        raise DomainError(f"ml_one requires alpha >= 0, got {alpha!r}")
+    if a == 0.0:
         if np.any(np.abs(np.asarray(z, dtype=float)) >= 1.0):
             raise DomainError("ml_one at alpha=0 requires |z| < 1")
-    return _eval_series(alpha, 1.0, z)
+    return _eval_series(a, 1.0, z)
 
 
 def ml_two(alpha: float, beta: float, z):
     """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
-    alpha = float(alpha)
-    beta = float(beta)
-    if not math.isfinite(alpha) or alpha <= 0.0:
-        raise DomainError(f"ml_two requires alpha > 0, got {alpha}")
-    if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError(f"ml_two requires beta > 0, got {beta}")
+    a, b = as_real(alpha), as_real(beta)
+    if a is None or not math.isfinite(a) or a <= 0.0:
+        raise DomainError(f"ml_two requires alpha > 0, got {alpha!r}")
+    if b is None or not math.isfinite(b) or b <= 0.0:
+        raise DomainError(f"ml_two requires beta > 0, got {beta!r}")
     try:
-        math.gamma(beta)  # the series' first term is 1 / Gamma(beta)
+        math.gamma(b)  # the series' first term is 1 / Gamma(beta)
     except OverflowError:
-        raise DomainError(f"ml_two requires Gamma(beta) below the float64 maximum, got beta = {beta}") from None
-    return _eval_series(alpha, beta, z)
+        raise DomainError(f"ml_two requires Gamma(beta) below the float64 maximum, got beta = {b}") from None
+    return _eval_series(a, b, z)
 
 
 def kernel(spec: DiscountSpec, t):
